@@ -12,7 +12,7 @@
 //! are invisible to it.
 
 use sim_mm::addr::{PageNum, PageRange};
-use sim_mm::mincore::scan_new_pages;
+use sim_mm::mincore::MincoreScanner;
 use sim_mm::page_table::PageTable;
 use sim_mm::share::SharedPages;
 use sim_mm::vma::AddressSpace;
@@ -22,8 +22,7 @@ use crate::wset::{ReapWorkingSet, WorkingSet};
 /// Incremental `mincore`-based working-set recorder.
 #[derive(Clone, Debug)]
 pub struct MincoreRecorder {
-    range: PageRange,
-    seen: Vec<bool>,
+    scanner: MincoreScanner,
     ws: WorkingSet,
     /// RSS (pages) at the last scan, for pacing.
     last_scan_rss: u64,
@@ -42,8 +41,7 @@ impl MincoreRecorder {
     /// threshold.
     pub fn with_params(total_pages: u64, ws: WorkingSet, scan_threshold: u64) -> Self {
         MincoreRecorder {
-            range: PageRange::new(0, total_pages),
-            seen: vec![false; total_pages as usize],
+            scanner: MincoreScanner::new(PageRange::new(0, total_pages)),
             ws,
             last_scan_rss: 0,
             scan_threshold,
@@ -57,7 +55,7 @@ impl MincoreRecorder {
         &mut self,
         rss_pages: u64,
         aspace: &AddressSpace,
-        pt: &PageTable,
+        pt: &mut PageTable,
         cache: &SharedPages,
     ) -> bool {
         if rss_pages < self.last_scan_rss + self.scan_threshold {
@@ -69,8 +67,9 @@ impl MincoreRecorder {
     }
 
     /// Unconditional scan (the final scan after the invocation finishes).
-    pub fn scan(&mut self, aspace: &AddressSpace, pt: &PageTable, cache: &SharedPages) {
-        let new_pages = scan_new_pages(self.range, aspace, pt, cache, &mut self.seen);
+    /// Costs O(pages changed since the last scan); see [`MincoreScanner`].
+    pub fn scan(&mut self, aspace: &AddressSpace, pt: &mut PageTable, cache: &SharedPages) {
+        let new_pages = self.scanner.scan(aspace, pt, cache);
         self.ws.extend(&new_pages);
         self.scans += 1;
     }
@@ -78,6 +77,11 @@ impl MincoreRecorder {
     /// Number of scans performed.
     pub fn scans(&self) -> u64 {
         self.scans
+    }
+
+    /// Candidate pages the scans examined.
+    pub fn pages_examined(&self) -> u64 {
+        self.scanner.pages_examined()
     }
 
     /// Finishes recording and returns the working set.
@@ -145,30 +149,48 @@ mod tests {
     }
 
     #[test]
+    fn scan_after_k_new_pages_examines_at_most_k() {
+        // A 2 GB guest: no scan walks it.
+        let total = 524_288;
+        let (a, mut pt, mut cache) = world(total);
+        let mut rec = MincoreRecorder::new(total);
+        cache.insert_range(FileId(1), 0, 100);
+        rec.scan(&a, &mut pt, &cache);
+        assert_eq!(rec.pages_examined(), 100);
+        for k in [0, 1, 7, 1000] {
+            let before = rec.pages_examined();
+            cache.insert_range(FileId(1), total - 2000 + k, k);
+            rec.scan(&a, &mut pt, &cache);
+            assert!(rec.pages_examined() - before <= k, "k = {k}");
+        }
+        assert_eq!(rec.working_set().len(), 100 + 1 + 7 + 1000);
+    }
+
+    #[test]
     fn paced_scanning() {
-        let (a, pt, mut cache) = world(10_000);
+        let (a, mut pt, mut cache) = world(10_000);
         let mut rec = MincoreRecorder::with_params(10_000, WorkingSet::with_group_size(64), 64);
         // Fewer than threshold new pages: no scan.
         cache.insert_range(FileId(1), 0, 10);
-        assert!(!rec.poll(10, &a, &pt, &cache));
+        assert!(!rec.poll(10, &a, &mut pt, &cache));
         assert_eq!(rec.scans(), 0);
         // Crossing the threshold triggers a scan.
         cache.insert_range(FileId(1), 100, 60);
-        assert!(rec.poll(70, &a, &pt, &cache));
+        assert!(rec.poll(70, &a, &mut pt, &cache));
         assert_eq!(rec.scans(), 1);
         assert_eq!(rec.working_set().len(), 70);
         // No growth: no scan.
-        assert!(!rec.poll(70, &a, &pt, &cache));
+        assert!(!rec.poll(70, &a, &mut pt, &cache));
     }
 
     #[test]
     fn readahead_pages_recorded() {
         // Host page recording's defining property: pages cached without
         // any guest fault are in the working set.
-        let (a, pt, mut cache) = world(1000);
+        let (a, mut pt, mut cache) = world(1000);
         let mut rec = MincoreRecorder::new(1000);
         cache.insert_range(FileId(1), 500, 32); // pure readahead
-        rec.scan(&a, &pt, &cache);
+        rec.scan(&a, &mut pt, &cache);
         let ws = rec.finish();
         assert_eq!(ws.len(), 32);
         assert!(ws.page_set().contains(&531));
@@ -176,12 +198,12 @@ mod tests {
 
     #[test]
     fn scan_order_defines_groups() {
-        let (a, pt, mut cache) = world(1000);
+        let (a, mut pt, mut cache) = world(1000);
         let mut rec = MincoreRecorder::with_params(1000, WorkingSet::with_group_size(4), 1);
         cache.insert_range(FileId(1), 100, 4);
-        rec.scan(&a, &pt, &cache);
+        rec.scan(&a, &mut pt, &cache);
         cache.insert_range(FileId(1), 0, 4); // lower address, later scan
-        rec.scan(&a, &pt, &cache);
+        rec.scan(&a, &mut pt, &cache);
         let ws = rec.finish();
         assert_eq!(ws.pages(), &[100, 101, 102, 103, 0, 1, 2, 3]);
         let g: Vec<u32> = ws.pages_with_groups().map(|(_, g)| g).collect();
@@ -190,12 +212,12 @@ mod tests {
 
     #[test]
     fn final_scan_catches_stragglers() {
-        let (a, pt, mut cache) = world(1000);
+        let (a, mut pt, mut cache) = world(1000);
         let mut rec = MincoreRecorder::new(1000);
         cache.insert_range(FileId(1), 0, 10);
-        rec.scan(&a, &pt, &cache);
+        rec.scan(&a, &mut pt, &cache);
         cache.insert_range(FileId(1), 50, 5);
-        rec.scan(&a, &pt, &cache); // the unconditional final scan
+        rec.scan(&a, &mut pt, &cache); // the unconditional final scan
         assert_eq!(rec.working_set().len(), 15);
     }
 

@@ -1433,7 +1433,7 @@ impl World for SimWorld<'_> {
                     return;
                 }
                 if let Some(rec) = &mut v.mincore_rec {
-                    rec.poll(v.pt.rss_pages(), &v.aspace, &v.pt, &self.host.pages);
+                    rec.poll(v.pt.rss_pages(), &v.aspace, &mut v.pt, &self.host.pages);
                 }
                 sched.schedule(now + MINCORE_POLL_INTERVAL, Ev::MincorePoll { vm });
             }
@@ -1493,7 +1493,7 @@ impl SimWorld<'_> {
                     // Final mincore scan (the daemon scans once more after
                     // the invocation completes).
                     if let Some(rec) = &mut v.mincore_rec {
-                        rec.scan(&v.aspace, &v.pt, &self.host.pages);
+                        rec.scan(&v.aspace, &mut v.pt, &self.host.pages);
                     }
                     return;
                 }

@@ -276,6 +276,7 @@ impl fmt::Display for ParseError {
 /// Parses a complete JSON document (trailing whitespace allowed).
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -289,6 +290,9 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 }
 
 struct Parser<'a> {
+    /// The input; `pos` only ever rests on a UTF-8 scalar boundary, so
+    /// unescaped runs slice out of it without re-validation.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -436,12 +440,15 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Copy a full UTF-8 scalar, not just one byte.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole unescaped run up to the next quote or
+                    // backslash. Both are ASCII, so the run ends on a
+                    // scalar boundary.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    out.push_str(&self.text[self.pos..run]);
+                    self.pos = run;
                 }
             }
         }
@@ -542,6 +549,32 @@ mod tests {
     fn parses_escapes() {
         let v = parse(r#""a\"b\\c\ndA""#).unwrap();
         assert_eq!(v.as_str(), Some("a\"b\\c\ndA"));
+    }
+
+    #[test]
+    fn parses_multibyte_text_between_escapes() {
+        let v = parse(r#""héllo \"wörld\" ✓""#).unwrap();
+        assert_eq!(v.as_str(), Some("héllo \"wörld\" ✓"));
+    }
+
+    #[test]
+    fn large_documents_parse_in_linear_time() {
+        // A multi-megabyte string and ~10^5 small objects: quadratic
+        // string scanning would take hours on this input.
+        let big = "xé".repeat(2 << 20);
+        let items: Vec<Value> = (0..100_000u64)
+            .map(|i| Value::object().with("id", i).with("name", "ev"))
+            .collect();
+        let doc = Value::object()
+            .with("blob", big.as_str())
+            .with("items", items);
+        let back = parse(&doc.to_string_compact()).unwrap();
+        assert_eq!(back.get("blob").unwrap().as_str(), Some(big.as_str()));
+        assert_eq!(
+            back.get("items").unwrap().as_array().unwrap().len(),
+            100_000
+        );
+        assert_eq!(back, doc);
     }
 
     #[test]

@@ -23,7 +23,9 @@
 //!   (anonymous zero-fill vs. minor vs. major vs. `userfaultfd`).
 //! - [`mincore`] — the `mincore(2)` model used by FaaSnap's host page
 //!   recording (§4.4): file-backed pages are "in core" iff cached, so
-//!   readahead-fetched pages are recorded into the working set.
+//!   readahead-fetched pages are recorded into the working set. The
+//!   record phase's repeated scans examine only the pages that changed
+//!   since the last one.
 //! - [`userfaultfd`] — registration of ranges for user-level fault
 //!   handling (REAP's mechanism).
 //! - [`costs`] — calibrated fault-cost constants with the paper sentences

@@ -132,6 +132,26 @@ impl PageCache {
         self.queue.clear();
     }
 
+    /// The stamp the next insert or touch will take: a watermark for
+    /// [`PageCache::keys_since`].
+    pub fn stamp(&self) -> u64 {
+        self.next_stamp
+    }
+
+    /// Keys inserted or touched at or after the watermark `stamp`, oldest
+    /// first; may repeat keys and include evicted or dropped ones.
+    ///
+    /// Every page resident now that entered the cache (or was touched) at
+    /// or after `stamp` is among them: each insert and touch pushes its
+    /// `(stamp, key)` onto the back of the recency queue and eviction pops
+    /// only from the front, removing only the entry it pops. So the queue
+    /// is sorted by stamp and its tail past the watermark holds every page
+    /// that can have become resident since.
+    pub fn keys_since(&self, stamp: u64) -> impl Iterator<Item = Key> + '_ {
+        let from = self.queue.partition_point(|&(s, _)| s < stamp);
+        self.queue.range(from..).map(|&(_, key)| key)
+    }
+
     /// `(hits, misses)` on the fault path so far.
     pub fn hit_miss(&self) -> (u64, u64) {
         (self.hits, self.misses)
@@ -149,25 +169,18 @@ impl PageCache {
     }
 
     fn evict_if_needed(&mut self) {
+        // Every resident page's current `(stamp, key)` is in the queue
+        // (drops and re-touches only leave *extra*, stale entries), so the
+        // queue cannot run dry while the cache is over capacity.
         while self.resident.len() as u64 > self.capacity_pages {
-            match self.queue.pop_front() {
-                Some((stamp, key)) => {
-                    // Skip stale queue entries (the page was touched again
-                    // later, or already dropped).
-                    if self.resident.get(&key) == Some(&stamp) {
-                        self.resident.remove(&key);
-                        self.evictions += 1;
-                    }
-                }
-                None => {
-                    // Queue exhausted (can happen after drop_file left the
-                    // queue stale); rebuild from the resident map. This is
-                    // rare and keeps eviction exact.
-                    let mut entries: Vec<(u64, Key)> =
-                        self.resident.iter().map(|(k, s)| (*s, *k)).collect();
-                    entries.sort_unstable();
-                    self.queue = entries.into();
-                }
+            let Some((stamp, key)) = self.queue.pop_front() else {
+                break;
+            };
+            // Skip stale queue entries (the page was touched again later,
+            // or already dropped).
+            if self.resident.get(&key) == Some(&stamp) {
+                self.resident.remove(&key);
+                self.evictions += 1;
             }
         }
     }
@@ -259,10 +272,29 @@ mod tests {
         let mut c = PageCache::new(5);
         c.insert_range(f(1), 0, 5);
         c.drop_file(f(1)); // queue now entirely stale
-        c.insert_range(f(2), 0, 7); // forces eviction through rebuild path
+        c.insert_range(f(2), 0, 7); // eviction skips the stale entries
         assert_eq!(c.resident_pages(), 5);
         assert!(c.contains(f(2), 6));
         assert!(!c.contains(f(2), 0));
+    }
+
+    #[test]
+    fn keys_since_covers_every_page_resident_since_the_watermark() {
+        let mut c = PageCache::new(4);
+        c.insert_range(f(1), 0, 3);
+        let mark = c.stamp();
+        assert_eq!(c.keys_since(mark).count(), 0);
+        assert!(c.touch(f(1), 0));
+        c.insert_range(f(2), 0, 2); // evicts (1, 1)
+        let tail: Vec<Key> = c.keys_since(mark).collect();
+        assert_eq!(tail, vec![(f(1), 0), (f(2), 0), (f(2), 1)]);
+        // Evicting past the stale entries drop_file leaves behind.
+        c.drop_file(f(1));
+        c.insert_range(f(3), 0, 5);
+        let tail: Vec<Key> = c.keys_since(mark).collect();
+        for key in c.resident.keys() {
+            assert!(tail.contains(key), "{key:?} resident but not in the tail");
+        }
     }
 
     #[test]

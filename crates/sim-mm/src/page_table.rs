@@ -37,6 +37,9 @@ pub enum PageState {
 pub struct PageTable {
     states: Vec<u8>,
     rss_pages: u64,
+    /// Pages that went from not-present to present, in order; kept only
+    /// once [`PageTable::log_present`] asked for it (the record phase).
+    present_log: Option<Vec<PageNum>>,
 }
 
 impl PageTable {
@@ -45,6 +48,7 @@ impl PageTable {
         PageTable {
             states: vec![PageState::NotPresent as u8; total_pages as usize],
             rss_pages: 0,
+            present_log: None,
         }
     }
 
@@ -73,6 +77,9 @@ impl PageTable {
         let new = state as u8;
         if (old == 0) && new != 0 {
             self.rss_pages += 1;
+            if let Some(log) = &mut self.present_log {
+                log_arrival(log, page);
+            }
         } else if old != 0 && new == 0 {
             self.rss_pages -= 1;
         }
@@ -90,6 +97,29 @@ impl PageTable {
         for p in range.iter() {
             self.set_state(p, state);
         }
+    }
+
+    /// Starts logging not-present → present transitions, so an
+    /// incremental `mincore` scan can find newly resident anonymous pages
+    /// without walking the table. The log opens with the pages present
+    /// now, so every present page has its latest arrival in it.
+    /// Idempotent.
+    pub(crate) fn log_present(&mut self) {
+        let states = &self.states;
+        self.present_log.get_or_insert_with(|| {
+            (0..)
+                .zip(states)
+                .filter(|&(_, &s)| s != PageState::NotPresent as u8)
+                .map(|(p, _)| p)
+                .collect()
+        });
+    }
+
+    /// The pages present when [`PageTable::log_present`] was called, then
+    /// every not-present → present transition since, in order (a page
+    /// repeats if it left and came back); `None` if logging is off.
+    pub(crate) fn present_log(&self) -> Option<&[PageNum]> {
+        self.present_log.as_deref()
     }
 
     /// Resident set size in pages (present in either state).
@@ -110,6 +140,14 @@ impl PageTable {
         self.states.fill(PageState::NotPresent as u8);
         self.rss_pages = 0;
     }
+}
+
+/// Out of line, so the fault path's `set_state` stays as small as it is
+/// when nothing records.
+#[cold]
+#[inline(never)]
+fn log_arrival(log: &mut Vec<PageNum>, page: PageNum) {
+    log.push(page);
 }
 
 #[cfg(test)]
@@ -166,6 +204,21 @@ mod tests {
         pt.clear();
         assert_eq!(pt.rss_pages(), 0);
         assert!(pt.faults_on(0));
+    }
+
+    #[test]
+    fn present_log_opens_with_present_pages_then_logs_arrivals() {
+        let mut pt = PageTable::new(10);
+        pt.install(7);
+        pt.install(1);
+        assert_eq!(pt.present_log(), None);
+        pt.log_present();
+        pt.install(1); // already present: no transition
+        pt.set_range(PageRange::new(3, 5), PageState::HostPte);
+        pt.install(3); // HostPte -> Mapped: still present
+        pt.set_state(1, PageState::NotPresent);
+        pt.install(1);
+        assert_eq!(pt.present_log(), Some(&[1, 7, 3, 4, 1][..]));
     }
 
     #[test]

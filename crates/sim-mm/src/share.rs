@@ -80,6 +80,32 @@ impl ShareMap {
         }
     }
 
+    /// The inverse of [`ShareMap::canon`] for one logical file: the
+    /// canonical windows its pages translate to, as
+    /// `(canonical file, canonical start, logical start, len)`, so that
+    /// `canon(file, l) == (cf, cs + (l - ls))` for every `l` in
+    /// `[ls, ls + len)`. One window per mapped chunk, one per run of holes
+    /// between them, and an identity window from the last mapped chunk to
+    /// the end of the page space (the whole space if `file` has no map).
+    pub(crate) fn windows_of(&self, file: FileId) -> Vec<(FileId, u64, u64, u64)> {
+        let Some(cf) = self.chunked.get(&file) else {
+            return vec![(file, 0, 0, u64::MAX)];
+        };
+        let cp = cf.chunk_pages();
+        let mut out = Vec::with_capacity(cf.mapped_chunks() + 1);
+        let mut hole_start = 0;
+        for (idx, ext) in cf.extents() {
+            let start = idx * cp;
+            if start > hole_start {
+                out.push((file, hole_start, hole_start, start - hole_start));
+            }
+            out.push((ext.file, ext.page, start, cp));
+            hole_start = start + cp;
+        }
+        out.push((file, hole_start, hole_start, u64::MAX - hole_start));
+        out
+    }
+
     /// Calls `f` once per maximal canonical run of the logical window
     /// `[start, start + len)` of `file`, splitting at chunk boundaries.
     pub fn for_each_run(
@@ -117,6 +143,10 @@ pub struct SharedPages {
     cache: PageCache,
     inflight: InflightIo,
     share: ShareMap,
+    /// Bumped whenever the cache is replaced or the translation map is
+    /// handed out for mutation: the moments a page's in-core status can
+    /// change without a cache insert.
+    generation: u64,
 }
 
 impl SharedPages {
@@ -126,6 +156,7 @@ impl SharedPages {
             cache: PageCache::new(capacity_pages),
             inflight: InflightIo::new(),
             share: ShareMap::new(),
+            generation: 0,
         }
     }
 
@@ -137,7 +168,14 @@ impl SharedPages {
     /// Mutable access to the translation map (registering store-backed
     /// files).
     pub fn share_mut(&mut self) -> &mut ShareMap {
+        self.generation += 1;
         &mut self.share
+    }
+
+    /// Counts cache replacements and translation-map mutations; page-cache
+    /// stamps from [`PageCache::stamp`] compare only within one generation.
+    pub(crate) fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// Read-only access to the underlying cache (statistics).
@@ -148,6 +186,7 @@ impl SharedPages {
     /// Replaces the underlying cache (capacity experiments). The
     /// translation map is preserved.
     pub fn set_cache(&mut self, cache: PageCache) {
+        self.generation += 1;
         self.cache = cache;
     }
 
@@ -302,6 +341,26 @@ mod tests {
             vec![(f(5), 68, 4), (f(1), 8, 8), (f(5), 8, 4)],
             "chunk-0 tail, the hole, chunk-2 head"
         );
+    }
+
+    #[test]
+    fn windows_of_inverts_canon() {
+        let s = mapped();
+        assert_eq!(
+            s.windows_of(f(1)),
+            vec![
+                (f(5), 64, 0, 8),
+                (f(1), 8, 8, 8),
+                (f(5), 8, 16, 8),
+                (f(1), 24, 24, u64::MAX - 24),
+            ]
+        );
+        for (cf, cs, ls, len) in s.windows_of(f(1)) {
+            for l in ls..(ls + len).min(40) {
+                assert_eq!(s.canon(f(1), l), (cf, cs + (l - ls)));
+            }
+        }
+        assert_eq!(s.windows_of(f(9)), vec![(f(9), 0, 0, u64::MAX)]);
     }
 
     #[test]

@@ -89,6 +89,9 @@ FD=./target/release/faasnapd
 for _ in $(seq "$MEDIAN_RUNS"); do
     time_driver invoke_hello_faasnap 1 "$FD" invoke hello-world
     time_driver invoke_json_reap 1 "$FD" invoke json --strategy reap
+    # The catalog's largest working set: the record phase (mincore scans)
+    # dominates, so this driver tracks the record layer.
+    time_driver invoke_recognition_faasnap 1 "$FD" invoke recognition
     time_driver burst_json_x8 1 "$FD" burst json --parallelism 8
     # Snapshot branching: 100 sibling restores from one snapshot —
     # tracks the shared-fault-path cost (cache + in-flight dedup + COW).

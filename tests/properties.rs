@@ -6,7 +6,12 @@ use faasnap::loadingset::LoadingSet;
 use faasnap::mapper;
 use faasnap::wset::WorkingSet;
 use sim_mm::addr::{normalize, PageRange};
+use sim_mm::mincore::{mincore, MincoreScanner};
+use sim_mm::page_cache::PageCache;
+use sim_mm::page_table::{PageState, PageTable};
+use sim_mm::share::{ShareMap, SharedPages};
 use sim_mm::vma::{AddressSpace, Backing, Resolved};
+use sim_storage::chunked::{ChunkExtent, ChunkedFile};
 use sim_storage::file::FileId;
 use sim_vm::guest_memory::GuestMemory;
 use sim_vm::{CowMemory, GuestMem};
@@ -342,6 +347,133 @@ proptest! {
                 "sibling {} observed foreign dirty state",
                 i
             );
+        }
+    }
+}
+
+/// A chunk map over store file 9 with 4-page chunks: `(chunk, store page)`
+/// pairs; unlisted chunks are holes.
+fn chunk_map(chunks: &[(u64, u64)]) -> ChunkedFile {
+    let mut cf = ChunkedFile::new(4);
+    for &(idx, page) in chunks {
+        cf.map_chunk(
+            idx,
+            ChunkExtent {
+                file: FileId(9),
+                page,
+            },
+        );
+    }
+    cf
+}
+
+proptest! {
+    /// The page cache's recency queue past a stamp watermark holds every
+    /// page that became resident since, through evictions under a tiny
+    /// capacity, re-touches, per-file drops and full drops.
+    #[test]
+    fn page_cache_tail_covers_new_residents(
+        capacity in 1u64..12,
+        // Each op: (kind, file, page, len).
+        ops in proptest::collection::vec((0u8..8, 1u64..4, 0u64..16, 1u64..6), 1..80)
+    ) {
+        let universe: Vec<(FileId, u64)> =
+            (1..4).flat_map(|f| (0..22).map(move |p| (FileId(f), p))).collect();
+        let resident = |c: &PageCache| -> Vec<(FileId, u64)> {
+            universe.iter().copied().filter(|&(f, p)| c.contains(f, p)).collect()
+        };
+        let mut c = PageCache::new(capacity);
+        let mut marks = Vec::new();
+        for (kind, file, page, len) in ops {
+            let file = FileId(file);
+            match kind {
+                0 | 1 => c.insert(file, page),
+                2 => c.insert_range(file, page, len),
+                3 => {
+                    c.touch(file, page);
+                }
+                4 => c.drop_file(file),
+                5 => c.drop_all(),
+                _ => marks.push((c.stamp(), resident(&c))),
+            }
+            prop_assert!(c.resident_pages() <= capacity);
+            let now = resident(&c);
+            for (stamp, before) in &marks {
+                let tail: Vec<(FileId, u64)> = c.keys_since(*stamp).collect();
+                for key in now.iter().filter(|k| !before.contains(k)) {
+                    prop_assert!(tail.contains(key), "{:?} new since stamp {} but not in the tail", key, stamp);
+                }
+            }
+        }
+    }
+
+    /// The incremental record-phase scan returns exactly what a full walk
+    /// would: after every scan, its pages and their order equal the pages
+    /// set in the current `mincore()` bitmap of the whole range that no
+    /// earlier scan's bitmap had set, under random interleavings of cache
+    /// inserts, touches, evictions and drops, anonymous installs and
+    /// host-PTE ranges, `MAP_FIXED` remaps, and chunk-mapped files.
+    #[test]
+    fn incremental_mincore_matches_full_walk_oracle(
+        capacity in 1u64..24,
+        // Each op: (kind, selector, page, len).
+        ops in proptest::collection::vec((0u8..12, 0u64..4, 0u64..64, 1u64..9), 1..60)
+    ) {
+        let total = 64u64;
+        let range = PageRange::new(0, total);
+        let files = [FileId(1), FileId(3), FileId(4), FileId(9)];
+        let map4 = || chunk_map(&[(0, 8), (1, 4)]);
+        let mut share = ShareMap::new();
+        // File 3: chunk 3 dedups onto chunk 0's extent, chunk 2 is a hole.
+        share.map_file(FileId(3), chunk_map(&[(0, 0), (1, 8), (3, 0)]));
+        share.map_file(FileId(4), map4());
+        let mut pages = SharedPages::new(capacity);
+        *pages.share_mut() = share;
+        let mut aspace = AddressSpace::new();
+        aspace.map_fixed(range, Backing::Anonymous);
+        aspace.map_fixed(PageRange::new(0, 16), Backing::File { file: FileId(1), offset_page: 0 });
+        aspace.map_fixed(PageRange::new(16, 32), Backing::File { file: FileId(3), offset_page: 0 });
+        aspace.map_fixed(PageRange::new(40, 52), Backing::File { file: FileId(4), offset_page: 2 });
+        let mut pt = PageTable::new(total);
+        let mut scanner = MincoreScanner::new(range);
+        let mut ever = vec![false; total as usize];
+        // Always end on a scan: the daemon's final one.
+        for (kind, sel, page, len) in ops.into_iter().chain([(11, 0, 0, 1)]) {
+            let file = files[sel as usize];
+            let window = PageRange::new(page, (page + len).min(total));
+            match kind {
+                0 => pages.insert(file, page % 40),
+                1 => pages.insert_range(file, page % 40, len),
+                2 => {
+                    pages.touch(file, page % 40);
+                }
+                3 if sel == 0 => pages.drop_cache(),
+                3 | 4 => pt.install(page),
+                5 => pt.set_range(window, PageState::HostPte),
+                6 => pt.set_state(page, PageState::NotPresent),
+                7 => {
+                    let backing = match sel {
+                        0 => Backing::Anonymous,
+                        _ => Backing::File { file, offset_page: len * 3 },
+                    };
+                    aspace.map_fixed(window, backing);
+                }
+                8 => {
+                    let share = pages.share_mut();
+                    if share.unmap_file(FileId(4)).is_none() {
+                        share.map_file(FileId(4), map4());
+                    }
+                }
+                _ => {
+                    let bits = mincore(range, &aspace, &pt, &pages);
+                    let expected: Vec<u64> =
+                        range.iter().filter(|&p| bits[p as usize] && !ever[p as usize]).collect();
+                    for (e, b) in ever.iter_mut().zip(&bits) {
+                        *e |= *b;
+                    }
+                    prop_assert_eq!(scanner.scan(&aspace, &mut pt, &pages), expected);
+                }
+            }
         }
     }
 }

@@ -525,8 +525,8 @@ pub fn tbl_merge(effort: Effort) -> TextTable {
 /// Design-choice sensitivity: working-set group size (§4.3 picks N = 1024)
 /// and region-merge gap (§4.6 picks 32 pages), swept on `image`.
 pub fn tbl_sensitivity(effort: Effort) -> TextTable {
-    use faasnap::artifacts::{record_phase_with, RecordOptions};
-    use faasnap::runtime::{run_invocation, Host};
+    use faasnap::artifacts::{try_record_phase_with, RecordOptions};
+    use faasnap::runtime::{try_run_invocation, Host};
 
     // recognition has the largest working set of the application
     // functions, so its loader genuinely races the guest — group ordering
@@ -550,17 +550,20 @@ pub fn tbl_sensitivity(effort: Effort) -> TextTable {
     let mut run_case = |knob: &str, value: u64, options: RecordOptions| {
         let mut host = Host::new(DiskProfile::nvme_c5d(), 0x5E15 ^ value);
         let dev = host.primary_device();
-        let artifacts = record_phase_with(
+        let (artifacts, out) = try_record_phase_with(
             &mut host,
             "recognition-sens",
             f.boot_image(),
             f.trace(&f.input_a()),
             dev,
             options,
-        );
-        host.drop_caches();
-        let spec = artifacts.spec(RestoreStrategy::faasnap(), f.trace(&f.input_b()));
-        let out = run_invocation(&mut host, spec);
+        )
+        .and_then(|artifacts| {
+            host.drop_caches();
+            let spec = artifacts.spec(RestoreStrategy::faasnap(), f.trace(&f.input_b()));
+            Ok((artifacts, try_run_invocation(&mut host, spec)?))
+        })
+        .unwrap_or_else(|e| panic!("sensitivity {knob}={value}: {e}"));
         t.row(vec![
             knob.into(),
             value.to_string(),

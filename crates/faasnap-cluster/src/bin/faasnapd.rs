@@ -287,19 +287,7 @@ fn cmd_invoke(args: &Args) {
             "sharing: {} disk pages read for {} siblings ({} shared base pages, {} private COW pages)",
             fork.disk_read_pages, fork_n, fork.shared_pages, fork.private_pages
         );
-        if let Some(path) = args.flags.get("trace-out") {
-            write_artifact(path, "Chrome trace", &chrome_trace_json(&run.tracer));
-        }
-        if let Some(path) = args.flags.get("metrics-out") {
-            write_artifact(path, "metrics", &run.metrics.render_prometheus());
-        }
-        if let Some(path) = args.flags.get("profile-out") {
-            println!("\n{}", render_phase_table(&run.tracer));
-            write_artifact(path, "folded stacks", &folded_stacks(&run.tracer));
-        }
-        if let Some(path) = args.flags.get("self-profile-out") {
-            write_artifact(path, "self-profile", &run.selfprof.render_report());
-        }
+        write_invoke_artifacts(args, &run.tracer, &run.metrics, &run.selfprof);
         return;
     }
     println!("recording snapshot for {} (input A)...", f.name());
@@ -327,18 +315,24 @@ fn cmd_invoke(args: &Args) {
     if args.flags.contains_key("trace") {
         println!("\n{}", render_text_tree(&run.tracer));
     }
+    write_invoke_artifacts(args, &run.tracer, &run.metrics, &run.selfprof);
+}
+
+/// Writes the `--trace-out` / `--metrics-out` / `--profile-out` /
+/// `--self-profile-out` artifacts of a traced invoke or fork.
+fn write_invoke_artifacts(args: &Args, tracer: &Tracer, metrics: &Metrics, selfprof: &SelfProfile) {
     if let Some(path) = args.flags.get("trace-out") {
-        write_artifact(path, "Chrome trace", &chrome_trace_json(&run.tracer));
+        write_artifact(path, "Chrome trace", &chrome_trace_json(tracer));
     }
     if let Some(path) = args.flags.get("metrics-out") {
-        write_artifact(path, "metrics", &run.metrics.render_prometheus());
+        write_artifact(path, "metrics", &metrics.render_prometheus());
     }
     if let Some(path) = args.flags.get("profile-out") {
-        println!("\n{}", render_phase_table(&run.tracer));
-        write_artifact(path, "folded stacks", &folded_stacks(&run.tracer));
+        println!("\n{}", render_phase_table(tracer));
+        write_artifact(path, "folded stacks", &folded_stacks(tracer));
     }
     if let Some(path) = args.flags.get("self-profile-out") {
-        write_artifact(path, "self-profile", &run.selfprof.render_report());
+        write_artifact(path, "self-profile", &selfprof.render_report());
     }
 }
 

@@ -35,7 +35,7 @@ pub struct TraceRun {
 
 /// Records `function` with its input A under label `"cli"` on a fresh
 /// host, then runs one fully traced test-phase invocation of `input`
-/// under `strategy`.
+/// under `strategy`: a 1-way [`traced_fork`].
 pub fn traced_invoke(
     function: &str,
     input: &Input,
@@ -43,26 +43,14 @@ pub fn traced_invoke(
     profile: DiskProfile,
     seed: u64,
 ) -> Result<TraceRun, String> {
-    let mut platform = Platform::new(profile, seed);
-    for f in faas_workloads::all_functions() {
-        platform.register(f);
-    }
-    let input_a = platform
-        .registry()
-        .function(function)
-        .ok_or_else(|| format!("unknown function {function}"))?
-        .input_a();
-    platform.record(function, "cli", &input_a)?;
-
-    let tracer = Tracer::enabled();
-    let metrics = Metrics::enabled();
-    let selfprof = SelfProfile::enabled();
-    platform.set_tracer(tracer.clone());
-    platform.set_metrics(metrics.clone());
-    platform.set_self_profile(selfprof.clone());
-    let outcome = platform.invoke(function, "cli", input, strategy)?;
+    let ForkRun {
+        mut fork,
+        tracer,
+        metrics,
+        selfprof,
+    } = traced_fork(function, input, strategy, profile, seed, 1)?;
     Ok(TraceRun {
-        outcome,
+        outcome: fork.outcomes.swap_remove(0),
         tracer,
         metrics,
         selfprof,
@@ -83,9 +71,8 @@ pub struct ForkRun {
     pub selfprof: SelfProfile,
 }
 
-/// [`traced_invoke`]'s branching sibling: records `function` once, then
-/// branches `n` fully traced concurrent restores from the snapshot. With
-/// `n = 1` the artifacts are byte-identical to [`traced_invoke`]'s.
+/// Records `function` once, then branches `n` fully traced concurrent
+/// restores from the snapshot. `n = 1` is [`traced_invoke`].
 pub fn traced_fork(
     function: &str,
     input: &Input,

@@ -10,7 +10,7 @@
 
 use faas_workloads::{Function, Input};
 use faasnap::error::RestoreError;
-use faasnap::runtime::{run_invocations, ForkOutcome, Host, InvocationOutcome, InvocationSpec};
+use faasnap::runtime::{try_run_invocations, ForkOutcome, Host, InvocationOutcome, InvocationSpec};
 use faasnap::snapstore::FamilyStore;
 use faasnap::strategy::RestoreStrategy;
 use faasnap_obs::{Metrics, SelfProfile, TraceContext, Tracer};
@@ -160,11 +160,6 @@ impl Platform {
         self.host.selfprof = prof;
     }
 
-    /// The self-profile handle.
-    pub fn self_profile(&self) -> &SelfProfile {
-        &self.host.selfprof
-    }
-
     /// Arms deterministic storage fault injection on the primary device:
     /// later record/invoke calls run under `plan`'s schedule. The plan
     /// stays armed (and keeps consuming its injection budget) until
@@ -253,7 +248,8 @@ impl Platform {
 
     /// [`Platform::invoke`] with a typed error: restore failures under
     /// storage faults are distinguishable from registry misses. A failed
-    /// invocation writes no output to the state store.
+    /// invocation writes no output to the state store. An invocation is
+    /// a 1-way [`Platform::try_fork`].
     pub fn try_invoke(
         &mut self,
         name: &str,
@@ -261,6 +257,23 @@ impl Platform {
         input: &Input,
         strategy: RestoreStrategy,
     ) -> Result<InvocationOutcome, InvokeError> {
+        let mut fork = self.try_fork(name, label, input, strategy, 1)?;
+        Ok(fork.outcomes.swap_remove(0))
+    }
+
+    /// Branches `n` concurrent restores from one snapshot (§6.6's
+    /// same-snapshot burst taken to its logical end): all siblings share
+    /// the frozen base image copy-on-write and the snapshot-keyed page
+    /// state, so the working set is read from disk once for the whole
+    /// batch. `n = 1` is an ordinary invocation ([`Platform::try_invoke`]).
+    pub fn try_fork(
+        &mut self,
+        name: &str,
+        label: &str,
+        input: &Input,
+        strategy: RestoreStrategy,
+        n: usize,
+    ) -> Result<ForkOutcome, InvokeError> {
         let spec = self
             .build_spec(name, label, input, strategy)
             .map_err(InvokeError::NotFound)?;
@@ -280,74 +293,6 @@ impl Platform {
         // Stage the input payload in external storage (the function
         // fetches it from there at the start of its trace) and record the
         // output it produces.
-        self.kv.put(
-            format!("{name}/input"),
-            KvValue {
-                len: input.payload_kb * 1024,
-                fingerprint: input.seed,
-            },
-        );
-        self.host.drop_caches();
-        let tracer = self.host.tracer.clone();
-        let ctx = tracer.begin(
-            "platform/invoke",
-            "daemon",
-            SimTime::ZERO,
-            TraceContext::NONE,
-        );
-        tracer.tag(ctx, "function", name);
-        tracer.tag(ctx, "label", label);
-        tracer.tag(ctx, "strategy", strategy.label());
-        tracer.push_parent(ctx);
-        let result = faasnap::runtime::try_run_invocation(&mut self.host, spec);
-        tracer.pop_parent();
-        match result {
-            Ok(outcome) => {
-                tracer.end(ctx, SimTime::ZERO + outcome.report.total_time());
-                self.kv.put(
-                    format!("{name}/output"),
-                    KvValue {
-                        len: input.payload_kb * 1024,
-                        fingerprint: outcome.final_memory.checksum(),
-                    },
-                );
-                Ok(outcome)
-            }
-            Err(e) => {
-                tracer.end(ctx, tracer.latest_end().unwrap_or(SimTime::ZERO));
-                Err(InvokeError::Restore(e))
-            }
-        }
-    }
-
-    /// Branches `n` concurrent restores from one snapshot (§6.6's
-    /// same-snapshot burst taken to its logical end): all siblings share
-    /// the frozen base image copy-on-write and the snapshot-keyed page
-    /// state, so the working set is read from disk once for the whole
-    /// batch. `n = 1` is byte-identical to [`Platform::try_invoke`].
-    pub fn try_fork(
-        &mut self,
-        name: &str,
-        label: &str,
-        input: &Input,
-        strategy: RestoreStrategy,
-        n: usize,
-    ) -> Result<ForkOutcome, InvokeError> {
-        assert!(n >= 1, "a fork needs at least one sibling");
-        let spec = self
-            .build_spec(name, label, input, strategy)
-            .map_err(InvokeError::NotFound)?;
-        if self.store_backed_reads {
-            if let Some(store) = self.snapstore.as_ref() {
-                if let (Some(artifacts), Ok(layout)) = (
-                    self.registry.artifacts(name, label),
-                    store.layout(&format!("{name}.{label}")),
-                ) {
-                    self.host
-                        .map_chunked_file(artifacts.snapshot.mem_file(), layout);
-                }
-            }
-        }
         self.kv.put(
             format!("{name}/input"),
             KvValue {
@@ -475,7 +420,7 @@ impl Platform {
             }
         }
         self.host.drop_caches();
-        Ok(run_invocations(&mut self.host, specs))
+        try_run_invocations(&mut self.host, specs).map_err(|e| e.to_string())
     }
 }
 

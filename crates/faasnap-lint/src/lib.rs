@@ -71,8 +71,10 @@ pub const UNWRAP_BUDGET: u64 = 17;
 /// 356 → 361 with the snapshot-branching layer (COW overlay range
 /// asserts and the fork orchestration paths); lowered to 359 when the
 /// incremental `mincore` scanner and the linear JSON string scan
-/// replaced indexed and `.expect(` paths.
-pub const PANIC_PATH_BUDGET: u64 = 359;
+/// replaced indexed and `.expect(` paths; lowered to 357 when the
+/// panicking `run_*` / `record_phase*` twins of the fallible runtime
+/// entry points were deleted.
+pub const PANIC_PATH_BUDGET: u64 = 357;
 
 /// One source file handed to the deep linter. [`lint_sources_deep`]
 /// takes these directly so tests and fixtures can lint in-memory

@@ -89,44 +89,12 @@ impl SnapshotArtifacts {
 /// Runs the record phase: restores the clean snapshot built from
 /// `boot_image`, executes `record_trace` with page sanitization and
 /// working-set recording enabled, and materializes every artifact on
-/// `device`.
-pub fn record_phase(
-    host: &mut Host,
-    name: &str,
-    boot_image: sim_vm::guest_memory::GuestMemory,
-    record_trace: Trace,
-    device: DeviceId,
-) -> SnapshotArtifacts {
-    record_phase_with(
-        host,
-        name,
-        boot_image,
-        record_trace,
-        device,
-        RecordOptions::default(),
-    )
-}
-
-/// [`record_phase`] with explicit [`RecordOptions`] (for the group-size
-/// and merge-gap sensitivity experiments).
-pub fn record_phase_with(
-    host: &mut Host,
-    name: &str,
-    boot_image: sim_vm::guest_memory::GuestMemory,
-    record_trace: Trace,
-    device: DeviceId,
-    options: RecordOptions,
-) -> SnapshotArtifacts {
-    match try_record_phase_with(host, name, boot_image, record_trace, device, options) {
-        Ok(artifacts) => artifacts,
-        Err(e) => panic!("record phase failed: {e}"),
-    }
-}
-
-/// Fallible record phase: a storage fault that exhausts its retry budget
-/// mid-record surfaces here as a typed error, and *no* artifacts are
-/// produced — a crashed record phase leaves artifacts cleanly absent,
-/// never half-written.
+/// `device`. `options` carries the group-size and merge-gap knobs of the
+/// sensitivity experiments.
+///
+/// A storage fault that exhausts its retry budget mid-record surfaces
+/// as a typed error, and *no* artifacts are produced — a crashed record
+/// phase leaves artifacts cleanly absent, never half-written.
 pub fn try_record_phase_with(
     host: &mut Host,
     name: &str,
@@ -234,12 +202,16 @@ mod tests {
         Host::new(DiskProfile::nvme_c5d(), 42)
     }
 
+    fn record(h: &mut Host, img: GuestMemory, trace: Trace) -> SnapshotArtifacts {
+        let dev = h.primary_device();
+        try_record_phase_with(h, "tiny", img, trace, dev, RecordOptions::default()).unwrap()
+    }
+
     #[test]
     fn record_produces_consistent_artifacts() {
         let mut h = host();
         let (img, trace) = tiny_setup();
-        let dev = h.primary_device();
-        let a = record_phase(&mut h, "tiny", img, trace, dev);
+        let a = record(&mut h, img, trace);
 
         // Working set covers the touched file pages (plus readahead).
         let ws_set = a.ws.page_set();
@@ -283,8 +255,7 @@ mod tests {
     fn record_report_counts_faults() {
         let mut h = host();
         let (img, trace) = tiny_setup();
-        let dev = h.primary_device();
-        let a = record_phase(&mut h, "tiny", img, trace, dev);
+        let a = record(&mut h, img, trace);
         let r = &a.record_report;
         assert!(r.total_faults() > 0);
         assert!(r.major_faults > 0, "record phase reads from disk");
@@ -295,8 +266,7 @@ mod tests {
     fn spec_builder_wires_artifacts() {
         let mut h = host();
         let (img, trace) = tiny_setup();
-        let dev = h.primary_device();
-        let a = record_phase(&mut h, "tiny", img, trace.clone(), dev);
+        let a = record(&mut h, img, trace.clone());
         let spec = a.spec(RestoreStrategy::faasnap(), trace);
         assert!(spec.ls.is_some());
         assert!(spec.ws.is_some());
@@ -310,8 +280,7 @@ mod tests {
         let run = || {
             let mut h = host();
             let (img, trace) = tiny_setup();
-            let dev = h.primary_device();
-            let a = record_phase(&mut h, "tiny", img, trace, dev);
+            let a = record(&mut h, img, trace);
             (
                 a.ws.pages().to_vec(),
                 a.reap_ws.pages().to_vec(),

@@ -46,11 +46,11 @@ pub mod snapstore;
 pub mod strategy;
 pub mod wset;
 
-pub use artifacts::{record_phase, try_record_phase_with, SnapshotArtifacts};
+pub use artifacts::{try_record_phase_with, SnapshotArtifacts};
 pub use error::{RestoreError, RetrySite};
 pub use loadingset::{LoadingSet, LsRegion};
 pub use report::{FaultReport, InvocationReport, RetryRecord};
-pub use runtime::{Host, InvocationSim, MmDelaySpec};
+pub use runtime::{Host, MmDelaySpec};
 pub use snapstore::{FamilyStore, NamedSnapshot};
 pub use strategy::{FaasnapConfig, RestoreStrategy};
 pub use wset::{ReapWorkingSet, WorkingSet, GROUP_SIZE};

@@ -38,7 +38,7 @@ use sim_storage::profiles::DiskProfile;
 use sim_vm::boot::BootModel;
 use sim_vm::guest_kernel::GuestKernel;
 use sim_vm::guest_memory::GuestMemory;
-use sim_vm::overlay::{CowMemory, GuestMem, VmMemory};
+use sim_vm::overlay::CowMemory;
 use sim_vm::trace::Trace;
 use sim_vm::vcpu::{Step, Vcpu};
 
@@ -233,16 +233,6 @@ impl Host {
         self.pages.share_mut().map_file(file, map);
     }
 
-    /// Removes a file's chunk-store backing (reads go direct again).
-    pub fn unmap_chunked_file(&mut self, file: FileId) -> Option<ChunkedFile> {
-        self.pages.share_mut().unmap_file(file)
-    }
-
-    /// The chunk-store backing of a file, if any.
-    pub fn chunked_file(&self, file: FileId) -> Option<&ChunkedFile> {
-        self.pages.share().chunked(file)
-    }
-
     /// Submits a read, resolving store-backed files through their chunk
     /// maps (per-chunk physical requests, merged completion: latest chunk
     /// wins, first injected fault wins). Files without a map — every file
@@ -270,8 +260,9 @@ pub struct InvocationSpec {
     pub strategy: RestoreStrategy,
     /// The function's execution trace for this input.
     pub trace: Trace,
-    /// Guest memory contents at restore (the snapshot's frozen state).
-    pub memory: GuestMemory,
+    /// Guest memory contents at restore: the snapshot's frozen image,
+    /// shared by every VM restored from it (each maps it copy-on-write).
+    pub memory: Rc<GuestMemory>,
     /// The snapshot memory file.
     pub mem_file: FileId,
     /// Non-zero regions of the memory file (from the post-record scan).
@@ -322,9 +313,10 @@ impl InvocationSpec {
     pub fn new(
         strategy: RestoreStrategy,
         trace: Trace,
-        memory: GuestMemory,
+        memory: impl Into<Rc<GuestMemory>>,
         mem_file: FileId,
     ) -> Self {
+        let memory = memory.into();
         let nonzero_regions = memory.nonzero_regions();
         InvocationSpec {
             strategy,
@@ -470,7 +462,7 @@ enum Ev {
 
 struct VmRun {
     vcpu: Vcpu,
-    mem: VmMemory,
+    mem: CowMemory,
     kernel: GuestKernel,
     aspace: AddressSpace,
     pt: PageTable,
@@ -507,7 +499,8 @@ struct SimWorld<'h> {
     vms: Vec<VmRun>,
 }
 
-/// Runs a batch of invocations that all arrive at `t = 0` on one host,
+/// Runs a batch of invocations that all arrive at `t = 0` on one host
+/// (a heterogeneous burst: each spec may restore a different snapshot),
 /// surfacing restore failures (retry exhaustion under storage faults) as
 /// typed errors. The first failed VM's error is returned; a failed batch
 /// produces no outcomes (fail closed — no partially-restored results).
@@ -515,7 +508,15 @@ pub fn try_run_invocations(
     host: &mut Host,
     specs: Vec<InvocationSpec>,
 ) -> Result<Vec<InvocationOutcome>, RestoreError> {
-    Ok(run_specs(host, specs, None)?.0)
+    Ok(run_specs(host, specs)?.0)
+}
+
+/// Runs a single invocation: a 1-way fork of its snapshot.
+pub fn try_run_invocation(
+    host: &mut Host,
+    spec: InvocationSpec,
+) -> Result<InvocationOutcome, RestoreError> {
+    Ok(try_run_fork(host, spec, 1)?.outcomes.swap_remove(0))
 }
 
 /// The result of an N-way fork: per-sibling outcomes plus sharing
@@ -537,9 +538,8 @@ pub struct ForkOutcome {
 /// shares the frozen base image read-only (dirty pages copy on write
 /// into a private anonymous overlay) and the snapshot-keyed page state,
 /// so the working set is read from disk once for the whole batch instead
-/// of once per sibling. `n = 1` is byte-identical to
-/// [`try_run_invocation`]: same seed draws, same event order, same
-/// trace, same metrics.
+/// of once per sibling. `n = 1` is an ordinary restore: no fork span and
+/// no fork metrics.
 pub fn try_run_fork(
     host: &mut Host,
     spec: InvocationSpec,
@@ -547,7 +547,7 @@ pub fn try_run_fork(
 ) -> Result<ForkOutcome, RestoreError> {
     assert!(n >= 1, "a fork needs at least one sibling");
     let read_before: u64 = host.disks.iter().map(|d| d.stats().pages).sum();
-    let base = Rc::new(spec.memory.clone());
+    let shared_pages = spec.memory.nonzero_count();
     // The fork span (and its metrics below) only exist for real forks:
     // a 1-way fork stays indistinguishable from an independent restore.
     let fork_ctx = if n > 1 {
@@ -560,8 +560,7 @@ pub fn try_run_fork(
     } else {
         None
     };
-    let specs: Vec<InvocationSpec> = (0..n).map(|_| spec.clone()).collect();
-    let result = run_specs(host, specs, Some(&base));
+    let result = run_specs(host, vec![spec; n]);
     if let Some(ctx) = fork_ctx {
         host.tracer.pop_parent();
         let end = host.tracer.latest_end().unwrap_or(SimTime::ZERO);
@@ -570,7 +569,6 @@ pub fn try_run_fork(
     let (outcomes, private_pages) = result?;
     let read_after: u64 = host.disks.iter().map(|d| d.stats().pages).sum();
     let disk_read_pages = read_after - read_before;
-    let shared_pages = base.nonzero_count();
     if n > 1 {
         host.metrics
             .counter_add("faasnap_fork_siblings_total", &[], n as u64);
@@ -589,21 +587,12 @@ pub fn try_run_fork(
     })
 }
 
-/// Branches `n` siblings, panicking on restore failure.
-pub fn run_fork(host: &mut Host, spec: InvocationSpec, n: usize) -> ForkOutcome {
-    match try_run_fork(host, spec, n) {
-        Ok(f) => f,
-        Err(e) => panic!("fork failed: {e}"),
-    }
-}
-
-/// Shared engine loop behind both entry points. With `fork_base`, every
-/// VM's memory is a copy-on-write overlay over that image; the second
-/// return value is the total private (copied) page count.
+/// The one engine loop behind every entry point. Each VM's memory is a
+/// copy-on-write overlay over its spec's image; the second return value
+/// is the total private (copied) page count.
 fn run_specs(
     host: &mut Host,
     specs: Vec<InvocationSpec>,
-    fork_base: Option<&Rc<GuestMemory>>,
 ) -> Result<(Vec<InvocationOutcome>, u64), RestoreError> {
     // Each run has its own clock starting at zero: device queues and the
     // in-flight registry (which hold absolute times) start idle.
@@ -617,7 +606,7 @@ fn run_specs(
 
     for (i, spec) in specs.into_iter().enumerate() {
         let seed = host.next_seed();
-        let (vm, setup_time) = prepare_vm(host, spec, seed, i, fork_base);
+        let (vm, setup_time) = prepare_vm(host, spec, seed, i);
         // The loader starts at request arrival; the vCPU after setup.
         if !vm.loader_plan.is_empty() {
             engine
@@ -666,52 +655,15 @@ fn run_specs(
         vm.report.cache_pages = host.pages.resident_of(vm.mem_file)
             + vm.ls_file.map(|f| host.pages.resident_of(f)).unwrap_or(0);
         vm.report.faults.injected_mm_delays = vm.resolver.injected_delays();
-        if let VmMemory::Cow(c) = &vm.mem {
-            private_pages += c.private_pages();
-        }
+        private_pages += vm.mem.private_pages();
         outcomes.push(InvocationOutcome {
             report: vm.report,
-            final_memory: vm.mem.into_guest_memory(),
+            final_memory: vm.mem.materialize(),
             ws: vm.mincore_rec.map(|r| r.finish()),
             reap_ws: vm.uffd_track.map(|t| t.finish()),
         });
     }
     Ok((outcomes, private_pages))
-}
-
-/// Runs a batch of invocations, panicking on restore failure (healthy
-/// paths never fail; only injected/real storage faults can).
-pub fn run_invocations(host: &mut Host, specs: Vec<InvocationSpec>) -> Vec<InvocationOutcome> {
-    match try_run_invocations(host, specs) {
-        Ok(outs) => outs,
-        Err(e) => panic!("invocation failed: {e}"),
-    }
-}
-
-/// Runs a single invocation, surfacing restore failures.
-pub fn try_run_invocation(
-    host: &mut Host,
-    spec: InvocationSpec,
-) -> Result<InvocationOutcome, RestoreError> {
-    Ok(try_run_invocations(host, vec![spec])?.remove(0))
-}
-
-/// Runs a single invocation.
-pub fn run_invocation(host: &mut Host, spec: InvocationSpec) -> InvocationOutcome {
-    run_invocations(host, vec![spec]).remove(0)
-}
-
-/// Convenience wrapper used by experiments: a complete invocation
-/// simulator bound to a host.
-pub struct InvocationSim;
-
-impl InvocationSim {
-    /// Runs `spec` on `host` after dropping caches (the evaluation's
-    /// between-test hygiene). `Cached` re-warms the cache afterwards.
-    pub fn run_clean(host: &mut Host, spec: InvocationSpec) -> InvocationOutcome {
-        host.drop_caches();
-        run_invocation(host, spec)
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -723,7 +675,6 @@ fn prepare_vm(
     spec: InvocationSpec,
     seed: u64,
     idx: usize,
-    fork_base: Option<&Rc<GuestMemory>>,
 ) -> (VmRun, SimDuration) {
     let total_pages = spec.memory.total_pages();
     let mut aspace = AddressSpace::new();
@@ -895,15 +846,9 @@ fn prepare_vm(
         .complete("setup", "vm", SimTime::ZERO, setup, ctx_invocation);
     host.tracer.tag(ctx_setup, "mmap_calls", report.mmap_calls);
 
-    // A fork sibling maps the shared base copy-on-write; an ordinary
-    // restore owns its image outright.
-    let mem = match fork_base {
-        None => VmMemory::Flat(spec.memory),
-        Some(base) => VmMemory::Cow(CowMemory::new(base.clone())),
-    };
     let vm = VmRun {
         vcpu: Vcpu::new(spec.trace),
-        mem,
+        mem: CowMemory::new(spec.memory),
         kernel,
         aspace,
         pt,
@@ -2049,7 +1994,7 @@ mod tests {
         let mut spec =
             InvocationSpec::new(RestoreStrategy::Warm, touch_trace(100, 50, false), mem, f);
         spec.verify_mappings = false;
-        let out = run_invocation(&mut host, spec);
+        let out = try_run_invocation(&mut host, spec).unwrap();
         assert_eq!(out.report.setup_time, SimDuration::ZERO);
         assert_eq!(out.report.total_faults(), 0, "resident pages do not fault");
         // 50 pages x 1us compute.
@@ -2063,7 +2008,7 @@ mod tests {
         let mut spec =
             InvocationSpec::new(RestoreStrategy::Warm, touch_trace(1000, 20, true), mem, f);
         spec.verify_mappings = false;
-        let out = run_invocation(&mut host, spec);
+        let out = try_run_invocation(&mut host, spec).unwrap();
         assert_eq!(out.report.anon_faults, 20);
         assert_eq!(out.report.major_faults, 0);
     }
@@ -2077,7 +2022,7 @@ mod tests {
             mem.clone(),
             f,
         );
-        let out = run_invocation(&mut host, spec);
+        let out = try_run_invocation(&mut host, spec).unwrap();
         assert!(out.report.major_faults > 0);
         assert!(out.report.guest_fault_read_pages >= 100);
         // Second run without dropping caches: everything is cached.
@@ -2087,7 +2032,7 @@ mod tests {
             mem,
             f,
         );
-        let out2 = run_invocation(&mut host, spec2);
+        let out2 = try_run_invocation(&mut host, spec2).unwrap();
         assert_eq!(out2.report.major_faults, 0);
         assert_eq!(out2.report.minor_faults, 100);
         assert!(out2.report.total_time() < out.report.total_time());
@@ -2103,7 +2048,7 @@ mod tests {
             mem,
             f,
         );
-        let out = run_invocation(&mut host, spec);
+        let out = try_run_invocation(&mut host, spec).unwrap();
         assert_eq!(out.report.major_faults, 0);
         assert_eq!(out.report.minor_faults, 200);
     }
@@ -2120,7 +2065,7 @@ mod tests {
             mem,
             f,
         );
-        let out = run_invocation(&mut host, spec);
+        let out = try_run_invocation(&mut host, spec).unwrap();
         assert!(
             out.report.major_faults > 0,
             "zero-page writes still read the file"
@@ -2148,7 +2093,7 @@ mod tests {
         spec.ls = Some(ls);
         spec.ls_file = Some(ls_file);
         spec.ws = Some(ws);
-        let out = run_invocation(&mut host, spec);
+        let out = try_run_invocation(&mut host, spec).unwrap();
         assert_eq!(
             out.report.anon_faults, 10,
             "heap writes are anonymous faults"
@@ -2171,7 +2116,7 @@ mod tests {
             InvocationSpec::new(RestoreStrategy::Reap, touch_trace(100, 150, false), mem, f);
         spec.reap_ws = Some(reap_ws);
         spec.reap_ws_file = Some(ws_file);
-        let out = run_invocation(&mut host, spec);
+        let out = try_run_invocation(&mut host, spec).unwrap();
         assert_eq!(out.report.host_pte_faults, 100, "prefetched pages");
         assert_eq!(
             out.report.uffd_faults, 50,
@@ -2209,7 +2154,7 @@ mod tests {
                 f,
             )
         };
-        let outs = run_invocations(&mut host, vec![mk(&mem), mk(&mem), mk(&mem)]);
+        let outs = try_run_invocations(&mut host, vec![mk(&mem), mk(&mem), mk(&mem)]).unwrap();
         let total_majors: u64 = outs.iter().map(|o| o.report.major_faults).sum();
         let total_minors_waits: u64 = outs
             .iter()
@@ -2232,7 +2177,7 @@ mod tests {
         host.drop_caches();
         let spec =
             InvocationSpec::new(RestoreStrategy::Vanilla, touch_trace(100, 50, true), mem, f);
-        let fork = run_fork(&mut host, spec, 4);
+        let fork = try_run_fork(&mut host, spec, 4).unwrap();
         assert_eq!(fork.outcomes.len(), 4);
         // All siblings fault the same 50 pages, but the disk serves far
         // fewer than 4x: in-flight waits and cache hits dedupe reads.
@@ -2256,7 +2201,7 @@ mod tests {
     }
 
     #[test]
-    fn fork_of_one_matches_independent_run() {
+    fn fork_of_one_matches_one_spec_batch() {
         let mk = |mem: &GuestMemory, f: FileId| {
             InvocationSpec::new(
                 RestoreStrategy::Vanilla,
@@ -2267,11 +2212,13 @@ mod tests {
         };
         let (mut host, mem, f) = tiny_world();
         host.drop_caches();
-        let solo = run_invocation(&mut host, mk(&mem, f));
+        let solo = try_run_invocations(&mut host, vec![mk(&mem, f)])
+            .unwrap()
+            .remove(0);
         // A fresh identical host, so seed and vmgenid draws line up.
         let (mut host2, mem2, f2) = tiny_world();
         host2.drop_caches();
-        let fork = run_fork(&mut host2, mk(&mem2, f2), 1);
+        let fork = try_run_fork(&mut host2, mk(&mem2, f2), 1).unwrap();
         let sib = &fork.outcomes[0];
         assert_eq!(solo.report.total_faults(), sib.report.total_faults());
         assert_eq!(solo.report.invocation_time, sib.report.invocation_time);
@@ -2306,7 +2253,7 @@ mod tests {
         spec.ls = Some(ls);
         spec.ls_file = Some(ls_file);
         spec.ws = Some(ws);
-        let out = run_invocation(&mut host, spec);
+        let out = try_run_invocation(&mut host, spec).unwrap();
         assert_eq!(
             out.report.major_faults, 0,
             "loader beat the 50ms setup window"
@@ -2326,7 +2273,7 @@ mod tests {
             f,
         );
         spec.record = true;
-        let out = run_invocation(&mut host, spec);
+        let out = try_run_invocation(&mut host, spec).unwrap();
         let ws = out.ws.expect("working set recorded");
         let reap = out.reap_ws.expect("REAP set recorded");
         assert_eq!(reap.len(), 50, "every first fault recorded");
@@ -2337,7 +2284,7 @@ mod tests {
     fn guest_writes_visible_in_final_memory() {
         let (mut host, mem, f) = tiny_world();
         let spec = InvocationSpec::new(RestoreStrategy::Vanilla, touch_trace(100, 5, true), mem, f);
-        let out = run_invocation(&mut host, spec);
+        let out = try_run_invocation(&mut host, spec).unwrap();
         for p in 100..105 {
             assert_eq!(out.final_memory.read(p), Trace::token_for(5, p));
         }
@@ -2361,8 +2308,8 @@ mod tests {
                 f,
             )
         };
-        let a = run_invocation(&mut host, mk());
-        let b = run_invocation(&mut host, mk());
+        let a = try_run_invocation(&mut host, mk()).unwrap();
+        let b = try_run_invocation(&mut host, mk()).unwrap();
         assert_ne!(a.report.vm_generation_id, b.report.vm_generation_id);
         assert!(a.report.vm_generation_id > 0);
     }
@@ -2377,7 +2324,8 @@ mod tests {
                 mem,
                 f,
             );
-            run_invocation(&mut host, spec)
+            try_run_invocation(&mut host, spec)
+                .unwrap()
                 .report
                 .total_time()
                 .as_nanos()
@@ -2403,7 +2351,7 @@ mod tests {
         for p in 100..300 {
             shifted.write(p + 1, p * 13 + 1);
         }
-        spec.memory = shifted;
+        spec.memory = Rc::new(shifted);
         // Now page 101 is non-zero in "RAM" but the file offset check
         // can't catch that (offsets still align); instead the anonymous
         // check fires on a page the mapper thinks is zero. Use FaaSnap
@@ -2422,6 +2370,6 @@ mod tests {
         spec.ws = Some(ws);
         // Touching page 300 (zero per stale scan, non-zero in RAM).
         spec.trace = touch_trace(300, 1, false);
-        run_invocation(&mut host, spec);
+        try_run_invocation(&mut host, spec).unwrap();
     }
 }

@@ -19,7 +19,7 @@
 use sim_core::time::SimDuration;
 use sim_mm::addr::PageRange;
 
-use crate::overlay::GuestMem;
+use crate::overlay::CowMemory;
 
 /// Guest-kernel model for one VM.
 #[derive(Clone, Debug)]
@@ -55,17 +55,12 @@ impl GuestKernel {
         self.sanitize_freed = on;
     }
 
-    /// True if freed pages are being sanitized.
-    pub fn sanitize_freed(&self) -> bool {
-        self.sanitize_freed
-    }
-
     /// Handles a guest `free` of `range`: returns the guest-side cost.
     /// With sanitization on, the pages become zero pages in guest memory.
     /// With it off, stale contents remain (and would be captured by a
     /// snapshot, inflating the non-zero set — exactly the behavior FaaSnap
     /// fixes).
-    pub fn free_pages<M: GuestMem>(&mut self, mem: &mut M, range: PageRange) -> SimDuration {
+    pub fn free_pages(&mut self, mem: &mut CowMemory, range: PageRange) -> SimDuration {
         self.pages_freed += range.len();
         if self.sanitize_freed {
             mem.zero_range(range);
@@ -91,18 +86,29 @@ impl GuestKernel {
 mod tests {
     use super::*;
     use crate::guest_memory::GuestMemory;
+    use std::rc::Rc;
+
+    /// A restored VM's memory over a base with pages 10..20 non-zero.
+    fn restored(total_pages: u64) -> CowMemory {
+        let mut m = GuestMemory::new(total_pages);
+        for p in 10..20 {
+            m.write(p, 1);
+        }
+        CowMemory::new(Rc::new(m))
+    }
+
+    fn nonzero(m: &CowMemory) -> u64 {
+        m.materialize().nonzero_count()
+    }
 
     #[test]
     fn sanitize_zeroes_and_costs() {
         let mut k = GuestKernel::new();
         k.set_sanitize_freed(true);
-        let mut m = GuestMemory::new(100);
-        for p in 10..20 {
-            m.write(p, 1);
-        }
+        let mut m = restored(100);
         let cost = k.free_pages(&mut m, PageRange::new(10, 20));
         assert!(!cost.is_zero());
-        assert_eq!(m.nonzero_count(), 0);
+        assert_eq!(nonzero(&m), 0);
         assert_eq!(k.pages_freed(), 10);
         assert_eq!(k.pages_sanitized(), 10);
     }
@@ -110,13 +116,10 @@ mod tests {
     #[test]
     fn no_sanitize_leaves_stale_contents() {
         let mut k = GuestKernel::new();
-        let mut m = GuestMemory::new(100);
-        for p in 10..20 {
-            m.write(p, 1);
-        }
+        let mut m = restored(100);
         let cost = k.free_pages(&mut m, PageRange::new(10, 20));
         assert!(cost.is_zero());
-        assert_eq!(m.nonzero_count(), 10, "stale data remains");
+        assert_eq!(nonzero(&m), 10, "stale data remains");
         assert_eq!(k.pages_freed(), 10);
         assert_eq!(k.pages_sanitized(), 0);
     }
@@ -125,7 +128,7 @@ mod tests {
     fn sanitize_cost_scales_with_pages() {
         let mut k = GuestKernel::new();
         k.set_sanitize_freed(true);
-        let mut m = GuestMemory::new(10_000);
+        let mut m = restored(10_000);
         let small = k.free_pages(&mut m, PageRange::new(0, 10));
         let large = k.free_pages(&mut m, PageRange::new(100, 1100));
         assert_eq!(large.as_nanos(), small.as_nanos() * 100);

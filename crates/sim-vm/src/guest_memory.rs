@@ -31,6 +31,16 @@ impl GuestMemory {
         }
     }
 
+    /// Builds memory from `(page, token)` pairs in ascending page order;
+    /// zero tokens are zero pages. Sorted input bulk-builds the map in
+    /// one linear pass instead of one tree insert per page.
+    pub(crate) fn from_sorted(total_pages: u64, pages: Vec<(PageNum, u64)>) -> Self {
+        GuestMemory {
+            total_pages,
+            contents: pages.into_iter().filter(|&(_, token)| token != 0).collect(),
+        }
+    }
+
     /// Total guest physical pages.
     pub fn total_pages(&self) -> u64 {
         self.total_pages

@@ -1,16 +1,12 @@
-//! Copy-on-write guest-memory overlays for snapshot branching.
+//! Copy-on-write guest memory: the only memory a restored VM has.
 //!
-//! When N siblings are forked from one snapshot, they share the frozen
-//! base image read-only and each accumulates *private* dirty pages in an
-//! anonymous overlay — the MAP_PRIVATE semantics of mapping the snapshot
-//! memory file. [`CowMemory`] models exactly that: reads fall through to
-//! the shared base unless the sibling has written the page; writes always
-//! land in the overlay and are invisible to every other sibling.
-//!
-//! [`VmMemory`] lets the runtime hold either a flat, exclusively-owned
-//! [`GuestMemory`] (the ordinary restore path) or a COW overlay (a fork
-//! sibling) behind one type, and [`GuestMem`] is the access surface the
-//! guest kernel and vCPU need, implemented by all three.
+//! Every restore maps the snapshot memory file MAP_PRIVATE: the VM reads
+//! the frozen image and its writes stay private. [`CowMemory`] models
+//! exactly that. Reads fall through to the shared base unless this VM
+//! has written the page; writes always land in the overlay and are
+//! invisible to every other VM over the same base. An ordinary restore
+//! is a 1-way fork; N fork siblings are N overlays over one base, which
+//! the [`Snapshot`](crate::snapshot::Snapshot) owns as an `Rc`.
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -18,34 +14,6 @@ use std::rc::Rc;
 use sim_mm::addr::{PageNum, PageRange};
 
 use crate::guest_memory::GuestMemory;
-
-/// The guest-physical access surface: what the vCPU and guest kernel
-/// need from memory, regardless of whether it is flat or overlaid.
-pub trait GuestMem {
-    /// Total guest physical pages.
-    fn total_pages(&self) -> u64;
-    /// Reads a page's content token (0 for zero pages).
-    fn read(&self, page: PageNum) -> u64;
-    /// Writes a content token; a zero token makes the page a zero page.
-    fn write(&mut self, page: PageNum, token: u64);
-    /// Zeroes every page in `range` (freed-page sanitization).
-    fn zero_range(&mut self, range: PageRange);
-}
-
-impl GuestMem for GuestMemory {
-    fn total_pages(&self) -> u64 {
-        GuestMemory::total_pages(self)
-    }
-    fn read(&self, page: PageNum) -> u64 {
-        GuestMemory::read(self, page)
-    }
-    fn write(&mut self, page: PageNum, token: u64) {
-        GuestMemory::write(self, page, token)
-    }
-    fn zero_range(&mut self, range: PageRange) {
-        GuestMemory::zero_range(self, range)
-    }
-}
 
 /// Copy-on-write view over a shared base image.
 ///
@@ -67,6 +35,44 @@ impl CowMemory {
         }
     }
 
+    /// Total guest physical pages.
+    pub fn total_pages(&self) -> u64 {
+        self.base.total_pages()
+    }
+
+    /// Reads a page's content token (0 for zero pages).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `page` is out of range.
+    pub fn read(&self, page: PageNum) -> u64 {
+        assert!(page < self.total_pages(), "page {page} out of range");
+        self.overlay
+            .get(&page)
+            .copied()
+            .unwrap_or_else(|| self.base.read(page))
+    }
+
+    /// Writes a content token privately; a zero token makes the page a
+    /// zero page.
+    pub fn write(&mut self, page: PageNum, token: u64) {
+        assert!(page < self.total_pages(), "page {page} out of range");
+        self.overlay.insert(page, token);
+    }
+
+    /// Zeroes every page in `range` (freed-page sanitization).
+    pub fn zero_range(&mut self, range: PageRange) {
+        for p in range.iter() {
+            if self.base.is_nonzero(p) {
+                self.overlay.insert(p, 0);
+            } else {
+                // Base page is already zero: dropping any private copy
+                // restores the shared zero page (the guest returned it).
+                self.overlay.remove(&p);
+            }
+        }
+    }
+
     /// The shared base image (for fork trees and sharing assertions).
     pub fn base(&self) -> &Rc<GuestMemory> {
         &self.base
@@ -83,103 +89,23 @@ impl CowMemory {
         self.clone()
     }
 
-    /// Flattens the overlay onto a copy of the base, producing the
-    /// sibling's logical memory image.
+    /// Flattens the overlay onto the base, producing the sibling's
+    /// logical memory image: one ordered merge, private pages winning.
     pub fn materialize(&self) -> GuestMemory {
-        let mut mem = (*self.base).clone();
-        for (&p, &token) in &self.overlay {
-            mem.write(p, token);
-        }
-        mem
-    }
-
-    /// Checksum of the materialized image (matches
-    /// [`GuestMemory::checksum`] of an equal flat memory).
-    pub fn checksum(&self) -> u64 {
-        self.materialize().checksum()
-    }
-}
-
-impl GuestMem for CowMemory {
-    fn total_pages(&self) -> u64 {
-        self.base.total_pages()
-    }
-    fn read(&self, page: PageNum) -> u64 {
-        assert!(page < self.total_pages(), "page {page} out of range");
-        self.overlay
-            .get(&page)
-            .copied()
-            .unwrap_or_else(|| self.base.read(page))
-    }
-    fn write(&mut self, page: PageNum, token: u64) {
-        assert!(page < self.total_pages(), "page {page} out of range");
-        self.overlay.insert(page, token);
-    }
-    fn zero_range(&mut self, range: PageRange) {
-        for p in range.iter() {
-            if self.base.is_nonzero(p) {
-                self.overlay.insert(p, 0);
-            } else {
-                // Base page is already zero: dropping any private copy
-                // restores the shared zero page (the guest returned it).
-                self.overlay.remove(&p);
+        let base = self.base.tokens();
+        let mut pages = Vec::with_capacity(base.len() + self.overlay.len());
+        let mut overlay = self.overlay.iter().peekable();
+        for (&p, &token) in base {
+            while let Some((&o, &t)) = overlay.next_if(|&(&o, _)| o < p) {
+                pages.push((o, t));
             }
+            let token = overlay
+                .next_if(|&(&o, _)| o == p)
+                .map_or(token, |(_, &t)| t);
+            pages.push((p, token));
         }
-    }
-}
-
-/// A VM's memory: flat and exclusively owned (ordinary restore) or a COW
-/// overlay over a shared base (fork sibling).
-#[derive(Clone, Debug)]
-pub enum VmMemory {
-    /// Exclusively owned flat image.
-    Flat(GuestMemory),
-    /// Copy-on-write overlay over a base shared with sibling VMs.
-    Cow(CowMemory),
-}
-
-impl VmMemory {
-    /// Private pages: everything for a flat image, overlay size for COW.
-    pub fn private_pages(&self) -> u64 {
-        match self {
-            VmMemory::Flat(m) => m.nonzero_count(),
-            VmMemory::Cow(c) => c.private_pages(),
-        }
-    }
-
-    /// Flattens into an owned [`GuestMemory`] (identity for `Flat`).
-    pub fn into_guest_memory(self) -> GuestMemory {
-        match self {
-            VmMemory::Flat(m) => m,
-            VmMemory::Cow(c) => c.materialize(),
-        }
-    }
-}
-
-impl GuestMem for VmMemory {
-    fn total_pages(&self) -> u64 {
-        match self {
-            VmMemory::Flat(m) => m.total_pages(),
-            VmMemory::Cow(c) => c.total_pages(),
-        }
-    }
-    fn read(&self, page: PageNum) -> u64 {
-        match self {
-            VmMemory::Flat(m) => m.read(page),
-            VmMemory::Cow(c) => c.read(page),
-        }
-    }
-    fn write(&mut self, page: PageNum, token: u64) {
-        match self {
-            VmMemory::Flat(m) => m.write(page, token),
-            VmMemory::Cow(c) => c.write(page, token),
-        }
-    }
-    fn zero_range(&mut self, range: PageRange) {
-        match self {
-            VmMemory::Flat(m) => m.zero_range(range),
-            VmMemory::Cow(c) => c.zero_range(range),
-        }
+        pages.extend(overlay.map(|(&p, &t)| (p, t)));
+        GuestMemory::from_sorted(self.total_pages(), pages)
     }
 }
 
@@ -240,7 +166,6 @@ mod tests {
         cow.zero_range(PageRange::new(18, 22));
         flat.zero_range(PageRange::new(18, 22));
         assert_eq!(cow.materialize(), flat);
-        assert_eq!(cow.checksum(), flat.checksum());
     }
 
     #[test]
@@ -254,16 +179,6 @@ mod tests {
         assert_eq!(parent.read(13), 1300, "parent blind to child writes");
         assert!(Rc::ptr_eq(parent.base(), child.base()));
         assert_eq!(Rc::strong_count(&b), 3);
-    }
-
-    #[test]
-    fn vm_memory_round_trips() {
-        let flat = VmMemory::Flat((*base()).clone());
-        let cow = VmMemory::Cow(CowMemory::new(base()));
-        assert_eq!(
-            flat.into_guest_memory().checksum(),
-            cow.into_guest_memory().checksum()
-        );
     }
 
     #[test]

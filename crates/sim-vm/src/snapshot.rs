@@ -4,7 +4,9 @@
 //! state of the VM like virtual devices and CPU registers as well as a
 //! memory file, which is the copy of the entire guest physical memory"
 //! (§2.4). In the simulation the memory file's logical contents are the
-//! frozen [`GuestMemory`] token map; the storage layer tracks the file's
+//! frozen [`GuestMemory`] token map, which the snapshot owns behind an
+//! `Rc`: every restored VM is a copy-on-write overlay over that one
+//! image, never a copy of it. The storage layer tracks the file's
 //! identity and size so reads are charged correctly.
 //!
 //! Restore correctness invariant (asserted by integration tests): under
@@ -12,6 +14,8 @@
 //! `snapshot.memory().read(p)` until the guest itself overwrites it. The
 //! strategies differ only in *when and how* bytes move, never in what the
 //! guest sees.
+
+use std::rc::Rc;
 
 use sim_mm::addr::PageRange;
 use sim_storage::device::{IoKind, IoRequest};
@@ -25,7 +29,7 @@ pub struct Snapshot {
     name: String,
     mem_file: FileId,
     state_file: FileId,
-    memory: GuestMemory,
+    memory: Rc<GuestMemory>,
 }
 
 impl Snapshot {
@@ -73,7 +77,7 @@ impl Snapshot {
             name,
             mem_file,
             state_file,
-            memory,
+            memory: Rc::new(memory),
         }
     }
 
@@ -108,10 +112,10 @@ impl Snapshot {
         self.memory.nonzero_regions()
     }
 
-    /// A fresh guest-memory instance a restored VM starts from (logical
-    /// copy of the frozen contents).
-    pub fn restored_memory(&self) -> GuestMemory {
-        self.memory.clone()
+    /// The frozen image a restored VM maps copy-on-write: a shared
+    /// handle, never a copy (every restore is a fork over this base).
+    pub fn restored_memory(&self) -> Rc<GuestMemory> {
+        Rc::clone(&self.memory)
     }
 
     /// The I/O requests that write this snapshot out (record phase).
@@ -134,6 +138,7 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::overlay::CowMemory;
 
     fn snap() -> (Snapshot, SimFs) {
         let mut fs = SimFs::new();
@@ -156,7 +161,7 @@ mod tests {
     }
 
     #[test]
-    fn restored_memory_is_exact_copy() {
+    fn restored_memory_reads_the_frozen_image() {
         let (s, _) = snap();
         let restored = s.restored_memory();
         assert_eq!(restored.checksum(), s.memory().checksum());
@@ -168,11 +173,12 @@ mod tests {
     #[test]
     fn restored_copies_are_independent() {
         let (s, _) = snap();
-        let mut a = s.restored_memory();
+        let mut a = CowMemory::new(s.restored_memory());
         a.write(0, 99);
         assert_eq!(s.memory().read(0), 0, "snapshot is immutable");
-        let b = s.restored_memory();
+        let b = CowMemory::new(s.restored_memory());
         assert_eq!(b.read(0), 0);
+        assert!(Rc::ptr_eq(a.base(), b.base()), "one shared base");
     }
 
     #[test]

@@ -32,16 +32,12 @@ rm -f "$LINT_TMP"
 echo "==> tier-1 verify: cargo build --release"
 cargo build --release
 
-echo "==> tier-1 verify: cargo test -q"
-cargo test -q
-
-echo "==> workspace tests"
+echo "==> tier-1 verify + workspace tests: cargo test --workspace -q"
+# One pass runs every test once: the workspace includes the root
+# package, so this covers `cargo test -q` (tier-1) and the
+# fault-injection suite (tests/fault_injection.rs, seeded constant
+# schedules, so a pass today is a pass everywhere).
 cargo test --workspace -q
-
-echo "==> fault-injection suite: differential byte-identity under fixed seeds"
-# The fault schedules in these tests are seeded constants, so this gate
-# is deterministic: a pass today is a pass everywhere.
-cargo test --release -q --test fault_injection
 
 echo "==> trace-schema smoke: faasnapd invoke/cluster artifacts match goldens"
 # The tier-1 build above only covers the root package; make sure the

@@ -17,7 +17,7 @@
 use faasnap::runtime::MmDelaySpec;
 use faasnap::strategy::{FaasnapConfig, RestoreStrategy};
 use faasnap::{FaultReport, RestoreError, RetrySite};
-use faasnap_daemon::platform::{InvokeError, Platform};
+use faasnap_daemon::platform::{BurstKind, InvokeError, Platform};
 use faasnap_obs::Metrics;
 use sim_core::time::SimDuration;
 use sim_storage::faults::{FaultPlan, FaultProfile, FaultRule, InjectedFaultKind};
@@ -637,4 +637,39 @@ fn exhausted_retries_fail_the_whole_fork_closed_and_deterministically() {
         format!("{err:?}")
     };
     assert_eq!(run(), run(), "fork failure is not deterministic");
+}
+
+#[test]
+fn exhausted_retries_fail_a_burst_closed_and_the_platform_recovers() {
+    // `Platform::burst` returns a `Result`: every read failing forever
+    // must surface as `Err`, not a panic, and once the plan is cleared
+    // the same platform must serve the clean run's bytes again.
+    let mut p = recorded_platform("json", 0xB057);
+    let f = faas_workloads::by_name("json").unwrap();
+    let burst = |p: &mut Platform| {
+        p.burst(
+            "json",
+            "t",
+            &f.input_b(),
+            RestoreStrategy::Vanilla,
+            4,
+            BurstKind::SameSnapshot,
+        )
+        .map(|outs| {
+            outs.iter()
+                .map(|o| o.final_memory.checksum())
+                .collect::<Vec<_>>()
+        })
+    };
+    let clean = burst(&mut p).unwrap();
+    let mut plan = FaultPlan::new(3);
+    plan.push_rule(FaultRule::any(InjectedFaultKind::ReadError, u64::MAX));
+    p.inject_storage_faults(plan);
+    let err = burst(&mut p).expect_err("every read failing forever must fail the burst");
+    assert!(
+        err.contains("read retries exhausted"),
+        "unexpected error: {err}"
+    );
+    p.clear_storage_faults();
+    assert_eq!(burst(&mut p).unwrap(), clean, "platform did not recover");
 }

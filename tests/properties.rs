@@ -14,7 +14,7 @@ use sim_mm::vma::{AddressSpace, Backing, Resolved};
 use sim_storage::chunked::{ChunkExtent, ChunkedFile};
 use sim_storage::file::FileId;
 use sim_vm::guest_memory::GuestMemory;
-use sim_vm::{CowMemory, GuestMem};
+use sim_vm::CowMemory;
 
 /// A small arbitrary set of distinct pages below `max`.
 fn arb_pages(max: u64) -> impl Strategy<Value = Vec<u64>> {

@@ -126,10 +126,11 @@ pub fn try_record_phase_with(
         what: "REAP working set",
     })?;
 
-    // Warm snapshot of the post-invocation state.
+    // Warm snapshot of the post-invocation state: the one place a
+    // restore's memory is flattened into an image of its own.
     let snapshot = Snapshot::create(
         format!("{name}.warm"),
-        outcome.final_memory,
+        outcome.final_memory.materialize(),
         &mut host.fs,
         device,
     );

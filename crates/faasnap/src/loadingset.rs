@@ -35,6 +35,9 @@ pub struct LsRegion {
 #[derive(Clone, Debug, Default)]
 pub struct LoadingSet {
     regions: Vec<LsRegion>,
+    /// The same regions in guest-address order (they are disjoint), for
+    /// binary-search lookups on the fault path.
+    by_guest: Vec<LsRegion>,
     file_pages: u64,
     /// Loading-set pages before merging (for the §4.6 accounting).
     core_pages: u64,
@@ -99,8 +102,11 @@ impl LoadingSet {
                 region
             })
             .collect();
+        let mut by_guest = regions.clone();
+        by_guest.sort_unstable_by_key(|r| r.guest.start);
         LoadingSet {
             regions,
+            by_guest,
             file_pages: file_cursor,
             core_pages,
             unmerged_regions,
@@ -144,7 +150,7 @@ impl LoadingSet {
 
     /// True if `page` is covered by some region.
     pub fn covers(&self, page: PageNum) -> bool {
-        self.regions.iter().any(|r| r.guest.contains(page))
+        self.region_of(page).is_some()
     }
 
     /// The set of all guest pages covered (including merged gaps),
@@ -155,10 +161,18 @@ impl LoadingSet {
 
     /// The file page backing a guest page, if covered.
     pub fn file_page_of(&self, page: PageNum) -> Option<u64> {
-        self.regions
-            .iter()
-            .find(|r| r.guest.contains(page))
+        self.region_of(page)
             .map(|r| r.file_start + (page - r.guest.start))
+    }
+
+    /// The region covering `page`: the last one starting at or before it,
+    /// if it reaches that far.
+    fn region_of(&self, page: PageNum) -> Option<&LsRegion> {
+        let after = self.by_guest.partition_point(|r| r.guest.start <= page);
+        after
+            .checked_sub(1)
+            .and_then(|i| self.by_guest.get(i))
+            .filter(|r| r.guest.contains(page))
     }
 }
 

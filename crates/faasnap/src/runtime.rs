@@ -345,8 +345,10 @@ impl InvocationSpec {
 pub struct InvocationOutcome {
     /// Measurements.
     pub report: InvocationReport,
-    /// Guest memory at completion.
-    pub final_memory: GuestMemory,
+    /// Guest memory at completion: the VM's private pages over the
+    /// snapshot's shared image. [`CowMemory::materialize`] flattens it
+    /// when a new snapshot needs an image of its own.
+    pub final_memory: CowMemory,
     /// Recorded working set (if `record`).
     pub ws: Option<WorkingSet>,
     /// Recorded REAP working set (if `record`).
@@ -460,18 +462,35 @@ enum Ev {
     MincorePoll { vm: usize },
 }
 
+/// What every VM restored from one spec shares, derived once per
+/// `(spec, count)` group: the spec's artifacts and trace, the mapped
+/// address space (with the FaaSnap config degraded to the artifacts at
+/// hand), the mapping's setup cost and the loader plan. None of it draws
+/// randomness or touches host state, so deriving it once changes no
+/// sim-time result.
+struct RestorePlan {
+    /// The spec, its trace moved out into `trace`.
+    spec: InvocationSpec,
+    trace: Rc<Trace>,
+    aspace: Rc<AddressSpace>,
+    /// VMM start, state restore and mapping; REAP adds its per-VM fetch.
+    setup: SimDuration,
+    loader_plan: LoaderPlan,
+    /// The FaaSnap config fell back for missing artifacts.
+    degraded: bool,
+}
+
 struct VmRun {
     vcpu: Vcpu,
     mem: CowMemory,
     kernel: GuestKernel,
-    aspace: AddressSpace,
+    /// The plan's address space until this VM's loader degrades and
+    /// remaps (copy on write, `Rc::make_mut`).
+    aspace: Rc<AddressSpace>,
     pt: PageTable,
     uffd: UffdRegistry,
     resolver: FaultResolver,
-    mem_file: FileId,
-    ls: Option<LoadingSet>,
-    ls_file: Option<FileId>,
-    loader_plan: LoaderPlan,
+    plan: Rc<RestorePlan>,
     loader_next: usize,
     loader_started: Option<SimTime>,
     reap: Option<ReapHandler>,
@@ -508,7 +527,7 @@ pub fn try_run_invocations(
     host: &mut Host,
     specs: Vec<InvocationSpec>,
 ) -> Result<Vec<InvocationOutcome>, RestoreError> {
-    Ok(run_specs(host, specs)?.0)
+    Ok(run_specs(host, specs.into_iter().map(|spec| (spec, 1)).collect())?.0)
 }
 
 /// Runs a single invocation: a 1-way fork of its snapshot.
@@ -560,7 +579,7 @@ pub fn try_run_fork(
     } else {
         None
     };
-    let result = run_specs(host, vec![spec; n]);
+    let result = run_specs(host, vec![(spec, n)]);
     if let Some(ctx) = fork_ctx {
         host.tracer.pop_parent();
         let end = host.tracer.latest_end().unwrap_or(SimTime::ZERO);
@@ -587,12 +606,14 @@ pub fn try_run_fork(
     })
 }
 
-/// The one engine loop behind every entry point. Each VM's memory is a
-/// copy-on-write overlay over its spec's image; the second return value
-/// is the total private (copied) page count.
+/// The one engine loop behind every entry point: `count` VMs restored
+/// from each spec, all arriving at `t = 0`. Each group derives one
+/// [`RestorePlan`] its VMs share; each VM's memory is a copy-on-write
+/// overlay over its spec's image. The second return value is the total
+/// private (copied) page count.
 fn run_specs(
     host: &mut Host,
-    specs: Vec<InvocationSpec>,
+    groups: Vec<(InvocationSpec, usize)>,
 ) -> Result<(Vec<InvocationOutcome>, u64), RestoreError> {
     // Each run has its own clock starting at zero: device queues and the
     // in-flight registry (which hold absolute times) start idle.
@@ -602,27 +623,31 @@ fn run_specs(
     host.pages.clear_inflight();
 
     let mut engine: Engine<Ev> = Engine::new();
-    let mut vms = Vec::with_capacity(specs.len());
+    let mut vms = Vec::with_capacity(groups.iter().map(|&(_, n)| n).sum());
 
-    for (i, spec) in specs.into_iter().enumerate() {
-        let seed = host.next_seed();
-        let (vm, setup_time) = prepare_vm(host, spec, seed, i);
-        // The loader starts at request arrival; the vCPU after setup.
-        if !vm.loader_plan.is_empty() {
+    for (spec, count) in groups {
+        let plan = Rc::new(RestorePlan::new(host, spec));
+        for _ in 0..count {
+            let i = vms.len();
+            let seed = host.next_seed();
+            let (vm, setup_time) = prepare_vm(host, &plan, seed, i);
+            // The loader starts at request arrival; the vCPU after setup.
+            if !plan.loader_plan.is_empty() {
+                engine
+                    .scheduler()
+                    .schedule(SimTime::ZERO, Ev::StartLoader { vm: i });
+            }
             engine
                 .scheduler()
-                .schedule(SimTime::ZERO, Ev::StartLoader { vm: i });
+                .schedule(SimTime::ZERO + setup_time, Ev::StartVcpu { vm: i });
+            if vm.mincore_rec.is_some() {
+                engine.scheduler().schedule(
+                    SimTime::ZERO + MINCORE_POLL_INTERVAL,
+                    Ev::MincorePoll { vm: i },
+                );
+            }
+            vms.push(vm);
         }
-        engine
-            .scheduler()
-            .schedule(SimTime::ZERO + setup_time, Ev::StartVcpu { vm: i });
-        if vm.mincore_rec.is_some() {
-            engine.scheduler().schedule(
-                SimTime::ZERO + MINCORE_POLL_INTERVAL,
-                Ev::MincorePoll { vm: i },
-            );
-        }
-        vms.push(vm);
     }
 
     let mut world = SimWorld { host, vms };
@@ -641,6 +666,17 @@ fn run_specs(
         .max("engine/peak_pending", estats.peak_pending);
     let mut outcomes = Vec::with_capacity(vms.len());
     let mut private_pages: u64 = 0;
+    // The cache no longer changes: count each backing file's residency
+    // once for the whole batch, not once per VM.
+    let mut residency: Vec<(FileId, u64)> = Vec::new();
+    let mut resident_of = |file: FileId| match residency.iter().find(|&&(f, _)| f == file) {
+        Some(&(_, n)) => n,
+        None => {
+            let n = host.pages.resident_of(file);
+            residency.push((file, n));
+            n
+        }
+    };
     for mut vm in vms {
         if let Some(err) = vm.error.take() {
             return Err(err);
@@ -651,14 +687,15 @@ fn run_specs(
         );
         // Footprint accounting (§7.3): anonymous residency plus the
         // page-cache pages of this VM's backing files.
+        let spec = &vm.plan.spec;
         vm.report.resident_pages = vm.pt.rss_pages();
-        vm.report.cache_pages = host.pages.resident_of(vm.mem_file)
-            + vm.ls_file.map(|f| host.pages.resident_of(f)).unwrap_or(0);
+        vm.report.cache_pages =
+            resident_of(spec.mem_file) + spec.ls_file.map(&mut resident_of).unwrap_or(0);
         vm.report.faults.injected_mm_delays = vm.resolver.injected_delays();
         private_pages += vm.mem.private_pages();
         outcomes.push(InvocationOutcome {
             report: vm.report,
-            final_memory: vm.mem.materialize(),
+            final_memory: vm.mem,
             ws: vm.mincore_rec.map(|r| r.finish()),
             reap_ws: vm.uffd_track.map(|t| t.finish()),
         });
@@ -670,14 +707,68 @@ fn run_specs(
 // VM preparation (strategy-specific setup)
 // ---------------------------------------------------------------------
 
+impl RestorePlan {
+    /// Derives the shared part of restoring `spec`.
+    fn new(host: &Host, mut spec: InvocationSpec) -> RestorePlan {
+        let total_pages = spec.memory.total_pages();
+        let trace = Rc::new(std::mem::take(&mut spec.trace));
+        let mut aspace = AddressSpace::new();
+        let mut setup = SimDuration::ZERO;
+        let mut loader_plan = LoaderPlan::default();
+        let mut degraded = false;
+        match spec.strategy {
+            RestoreStrategy::Warm => {
+                // Live VM: anonymous memory.
+                mapper::map_warm(&mut aspace, total_pages);
+            }
+            RestoreStrategy::Vanilla | RestoreStrategy::Cached | RestoreStrategy::Reap => {
+                mapper::map_vanilla(&mut aspace, total_pages, spec.mem_file);
+                setup = host.boot.snapshot_setup_base() + host.costs.mmap_calls(1);
+            }
+            RestoreStrategy::FaaSnap(mut config) => {
+                config.validate().expect("invalid FaaSnap config");
+                // Robustness: if the loading-set artifacts are missing or
+                // corrupt (e.g. the file was evicted from snapshot
+                // storage), degrade gracefully — per-region needs the
+                // loading set, the ablation loaders need the working set;
+                // strip whatever is unavailable and fall back toward
+                // vanilla demand paging.
+                if config.loading_set_file && (spec.ls.is_none() || spec.ls_file.is_none()) {
+                    config.loading_set_file = false;
+                    config.per_region_mapping = false;
+                    degraded = true;
+                }
+                if config.concurrent_paging && !config.loading_set_file && spec.ws.is_none() {
+                    config.concurrent_paging = false;
+                    config.per_region_mapping = false;
+                    degraded = true;
+                }
+                let mmaps = setup_faasnap_mapping(&mut aspace, &spec, total_pages, config);
+                setup = host.boot.snapshot_setup_base() + host.costs.mmap_calls(mmaps);
+                loader_plan = build_loader_plan(&spec, config);
+            }
+        }
+        RestorePlan {
+            spec,
+            trace,
+            aspace: Rc::new(aspace),
+            setup,
+            loader_plan,
+            degraded,
+        }
+    }
+}
+
+/// Prepares VM `idx` of its plan's group: per-VM state, the strategy's
+/// per-VM setup work (Cached pre-load, REAP fetch), and its spans.
 fn prepare_vm(
     host: &mut Host,
-    spec: InvocationSpec,
+    plan: &Rc<RestorePlan>,
     seed: u64,
     idx: usize,
 ) -> (VmRun, SimDuration) {
+    let spec = &plan.spec;
     let total_pages = spec.memory.total_pages();
-    let mut aspace = AddressSpace::new();
     let mut pt = PageTable::new(total_pages);
     let mut uffd = UffdRegistry::new();
     let mut kernel = GuestKernel::new();
@@ -689,15 +780,19 @@ fn prepare_vm(
         resolver.set_delay_injection(d.seed, d.prob, d.extra, d.budget);
     }
     let strategy_label = spec.strategy.label();
-    let mut report = InvocationReport::default();
+    // FaaSnap's fetch is its loader plan (empty for the others); REAP
+    // sets its own below.
+    let mut report = InvocationReport {
+        degraded: plan.degraded,
+        fetch_pages: plan.loader_plan.total_pages(),
+        ..InvocationReport::default()
+    };
     let mut reap = None;
-    let mut loader_plan = LoaderPlan::default();
 
-    let mut setup = SimDuration::ZERO;
+    let mut setup = plan.setup;
     match spec.strategy {
         RestoreStrategy::Warm => {
-            // Live VM: anonymous memory, previously touched pages resident.
-            mapper::map_warm(&mut aspace, total_pages);
+            // Previously touched pages are resident.
             for r in &spec.nonzero_regions {
                 pt.set_range(*r, PageState::Mapped);
             }
@@ -707,19 +802,13 @@ fn prepare_vm(
                 }
             }
         }
-        RestoreStrategy::Vanilla => {
-            mapper::map_vanilla(&mut aspace, total_pages, spec.mem_file);
-            setup = host.boot.snapshot_setup_base() + host.costs.mmap_calls(1);
-        }
+        RestoreStrategy::Vanilla | RestoreStrategy::FaaSnap(_) => {}
         RestoreStrategy::Cached => {
-            mapper::map_vanilla(&mut aspace, total_pages, spec.mem_file);
-            setup = host.boot.snapshot_setup_base() + host.costs.mmap_calls(1);
             // Pre-load the memory file into the page cache (reference
             // setting; the warm-up itself is not measured, §6.1).
             host.pages.insert_range(spec.mem_file, 0, total_pages);
         }
         RestoreStrategy::Reap => {
-            mapper::map_vanilla(&mut aspace, total_pages, spec.mem_file);
             uffd.register(PageRange::new(0, total_pages));
             // Blocking fetch: one sequential O_DIRECT read of the compact
             // working-set file (bypasses the page cache), then bulk
@@ -798,35 +887,13 @@ fn prepare_vm(
                     report.degraded = true;
                 }
             }
-            setup = host.boot.snapshot_setup_base() + host.costs.mmap_calls(1) + fetch;
+            setup += fetch;
             report.fetch_time = fetch;
             reap = Some(ReapHandler::new(seed ^ 0x5EA9));
         }
-        RestoreStrategy::FaaSnap(mut config) => {
-            config.validate().expect("invalid FaaSnap config");
-            // Robustness: if the loading-set artifacts are missing or
-            // corrupt (e.g. the file was evicted from snapshot storage),
-            // degrade gracefully — per-region needs the loading set, the
-            // ablation loaders need the working set; strip whatever is
-            // unavailable and fall back toward vanilla demand paging.
-            if config.loading_set_file && (spec.ls.is_none() || spec.ls_file.is_none()) {
-                config.loading_set_file = false;
-                config.per_region_mapping = false;
-                report.degraded = true;
-            }
-            if config.concurrent_paging && !config.loading_set_file && spec.ws.is_none() {
-                config.concurrent_paging = false;
-                config.per_region_mapping = false;
-                report.degraded = true;
-            }
-            let mmaps = setup_faasnap_mapping(&mut aspace, &spec, total_pages, config);
-            setup = host.boot.snapshot_setup_base() + host.costs.mmap_calls(mmaps);
-            loader_plan = build_loader_plan(&spec, config);
-            report.fetch_pages = loader_plan.total_pages();
-        }
     }
     report.setup_time = setup;
-    report.mmap_calls = aspace.mmap_calls();
+    report.mmap_calls = plan.aspace.mmap_calls();
     report.vm_generation_id = host.next_vmgenid();
 
     // Root span: request arrival (t = 0) to reply. One display track per
@@ -847,17 +914,14 @@ fn prepare_vm(
     host.tracer.tag(ctx_setup, "mmap_calls", report.mmap_calls);
 
     let vm = VmRun {
-        vcpu: Vcpu::new(spec.trace),
-        mem: CowMemory::new(spec.memory),
+        vcpu: Vcpu::new(Rc::clone(&plan.trace)),
+        mem: CowMemory::new(Rc::clone(&spec.memory)),
         kernel,
-        aspace,
+        aspace: Rc::clone(&plan.aspace),
         pt,
         uffd,
         resolver,
-        mem_file: spec.mem_file,
-        ls: spec.ls,
-        ls_file: spec.ls_file,
-        loader_plan,
+        plan: Rc::clone(plan),
         loader_next: 0,
         loader_started: None,
         reap,
@@ -891,7 +955,7 @@ fn setup_faasnap_mapping(
         mapper::map_vanilla(aspace, total_pages, spec.mem_file);
         return 1;
     }
-    // `prepare_vm` already degraded the config if the loading-set
+    // `RestorePlan::new` already degraded the config if the loading-set
     // artifacts are absent, so this match only misses on caller bugs —
     // and then the safe fallback is the no-loading-set mapping.
     let empty = LoadingSet::default();
@@ -964,10 +1028,12 @@ impl World for SimWorld<'_> {
                     self.host
                         .tracer
                         .begin("loader/prefetch", "loader", now, v.ctx_invocation);
-                self.host.tracer.tag(ctx, "chunks", v.loader_plan.len());
                 self.host
                     .tracer
-                    .tag(ctx, "pages", v.loader_plan.total_pages());
+                    .tag(ctx, "chunks", v.plan.loader_plan.len());
+                self.host
+                    .tracer
+                    .tag(ctx, "pages", v.plan.loader_plan.total_pages());
                 v.ctx_loader = Some(ctx);
                 self.loader_issue_next(vm, now, sched);
             }
@@ -1254,7 +1320,9 @@ impl World for SimWorld<'_> {
             }
             Ev::LoaderRetry { vm, idx, attempt } => {
                 let v = &self.vms[vm];
-                if v.done_at.is_some() || v.error.is_some() || v.loader_next >= v.loader_plan.len()
+                if v.done_at.is_some()
+                    || v.error.is_some()
+                    || v.loader_next >= v.plan.loader_plan.len()
                 {
                     // The invocation ended (or the loader was abandoned)
                     // while this retry was pending: just let the loader
@@ -1262,7 +1330,7 @@ impl World for SimWorld<'_> {
                     self.loader_issue_next(vm, now, sched);
                     return;
                 }
-                let chunk = *v.loader_plan.chunk(idx);
+                let chunk = *v.plan.loader_plan.chunk(idx);
                 // Resume at the first page of the chunk still uncovered
                 // (guest faults or other VMs may have filled some of it).
                 let end = chunk.page + chunk.pages;
@@ -1434,7 +1502,7 @@ impl SimWorld<'_> {
                     self.host.tracer.end(v.ctx_invocation, now);
                     // Stop the loader: prefetching past the reply only
                     // wastes disk bandwidth other VMs need.
-                    v.loader_next = v.loader_plan.len();
+                    v.loader_next = v.plan.loader_plan.len();
                     // Final mincore scan (the daemon scans once more after
                     // the invocation completes).
                     if let Some(rec) = &mut v.mincore_rec {
@@ -1731,14 +1799,14 @@ impl SimWorld<'_> {
         loop {
             let v = &self.vms[vm];
             let idx = v.loader_next;
-            if idx >= v.loader_plan.len() {
+            if idx >= v.plan.loader_plan.len() {
                 // Prefetch complete (or abandoned at reply): close the span.
                 if let Some(ctx) = self.vms[vm].ctx_loader.take() {
                     self.host.tracer.end(ctx, now);
                 }
                 return;
             }
-            let chunk = *v.loader_plan.chunk(idx);
+            let chunk = *v.plan.loader_plan.chunk(idx);
             self.vms[vm].loader_next += 1;
             // Read-once: skip fully cached or in-flight chunks.
             let covered = (chunk.page..chunk.page + chunk.pages).all(|p| {
@@ -1836,13 +1904,13 @@ impl SimWorld<'_> {
         let total = self.vms[vm].pt.total_pages();
         let v = &mut self.vms[vm];
         v.report.degraded = true;
-        let mode = if v.ls_file == Some(io.file) {
-            mapper::map_vanilla(&mut v.aspace, total, v.mem_file);
+        let mode = if v.plan.spec.ls_file == Some(io.file) {
+            mapper::map_vanilla(Rc::make_mut(&mut v.aspace), total, v.plan.spec.mem_file);
             "vanilla-fallback"
         } else {
             "prefetch-abandoned"
         };
-        v.loader_next = v.loader_plan.len();
+        v.loader_next = v.plan.loader_plan.len();
         self.host
             .metrics
             .counter_inc("faasnap_degraded_total", &[("mode", mode)]);
@@ -1864,7 +1932,7 @@ impl SimWorld<'_> {
             .counter_inc("faasnap_restore_failed_total", &[("site", site)]);
         let v = &mut self.vms[vm];
         v.error = Some(err);
-        v.loader_next = v.loader_plan.len();
+        v.loader_next = v.plan.loader_plan.len();
         let (ctx_f, ctx_i) = (v.ctx_function, v.ctx_invocation);
         self.host.tracer.end(ctx_f, now);
         self.host.tracer.end(ctx_i, now);
@@ -1922,18 +1990,20 @@ impl SimWorld<'_> {
 /// match the recorded file layout, and anonymous mappings may only cover
 /// pages whose snapshot content is zero.
 fn verify_mapping(v: &VmRun, page: PageNum) {
+    let spec = &v.plan.spec;
     match v.aspace.resolve(page) {
-        Some(Resolved::File { file, file_page }) if file == v.mem_file => {
+        Some(Resolved::File { file, file_page }) if file == spec.mem_file => {
             assert_eq!(
                 file_page, page,
                 "memory-file mapping must be offset-preserving (page {page})"
             );
         }
         Some(Resolved::File { file, file_page }) => {
-            let ls =
-                v.ls.as_ref()
-                    .expect("non-memfile mapping implies a loading set");
-            assert_eq!(Some(file), v.ls_file, "unexpected backing file");
+            let ls = spec
+                .ls
+                .as_ref()
+                .expect("non-memfile mapping implies a loading set");
+            assert_eq!(Some(file), spec.ls_file, "unexpected backing file");
             assert_eq!(
                 ls.file_page_of(page),
                 Some(file_page),
@@ -2223,7 +2293,10 @@ mod tests {
         assert_eq!(solo.report.total_faults(), sib.report.total_faults());
         assert_eq!(solo.report.invocation_time, sib.report.invocation_time);
         assert_eq!(solo.report.setup_time, sib.report.setup_time);
-        assert_eq!(solo.final_memory, sib.final_memory);
+        assert_eq!(
+            solo.final_memory.materialize(),
+            sib.final_memory.materialize()
+        );
         assert_eq!(
             host.disks[0].stats(),
             host2.disks[0].stats(),

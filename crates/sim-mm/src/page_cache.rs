@@ -12,7 +12,11 @@
 //!
 //! The model is an exact LRU over `(file, page)` keys with a lazily
 //! compacted recency queue, plus explicit drop operations mirroring the
-//! evaluation's `drop_caches` between runs (§6.1).
+//! evaluation's `drop_caches` between runs (§6.1). Every touch appends
+//! to the queue, so hot pages leave stale entries behind; once those
+//! outnumber the resident pages the queue is compacted down to one
+//! entry per resident page, which keeps it within twice the resident
+//! count (plus [`QUEUE_SLACK`]) however long the run.
 
 use std::collections::VecDeque;
 
@@ -22,16 +26,22 @@ use sim_storage::file::FileId;
 /// Key of one cached file page.
 type Key = (FileId, u64);
 
+/// Stale recency-queue entries tolerated beyond the resident page count:
+/// the queue is compacted once it holds more than twice the resident
+/// pages plus this many entries.
+pub const QUEUE_SLACK: usize = 32;
+
 /// The host page cache.
 #[derive(Clone, Debug)]
 pub struct PageCache {
     /// Maximum resident pages (host memory budget for the cache).
     capacity_pages: u64,
     /// Page -> recency stamp of the most recent touch. Insertion-ordered
-    /// deterministic map; the eviction rebuild path sorts by stamp, so it
-    /// never depends on iteration order.
+    /// deterministic map; eviction and compaction follow the stamp-sorted
+    /// queue, never its iteration order.
     resident: DetMap<Key, u64>,
-    /// Recency queue: (stamp, key); stale entries skipped on eviction.
+    /// Recency queue: (stamp, key), sorted by stamp; stale entries are
+    /// skipped on eviction and dropped by compaction.
     queue: VecDeque<(u64, Key)>,
     next_stamp: u64,
     /// Cumulative counters.
@@ -79,7 +89,7 @@ impl PageCache {
         match self.resident.get_mut(&(file, page)) {
             Some(s) => {
                 *s = stamp;
-                self.queue.push_back((stamp, (file, page)));
+                self.push((stamp, (file, page)));
                 self.hits += 1;
                 true
             }
@@ -94,7 +104,7 @@ impl PageCache {
     pub fn insert(&mut self, file: FileId, page: u64) {
         let stamp = self.bump();
         let prev = self.resident.insert((file, page), stamp);
-        self.queue.push_back((stamp, (file, page)));
+        self.push((stamp, (file, page)));
         if prev.is_none() {
             self.insertions += 1;
             self.evict_if_needed();
@@ -113,17 +123,15 @@ impl PageCache {
         self.resident.keys().filter(|(f, _)| *f == file).count() as u64
     }
 
-    /// Number of cached pages of `file` within `[start, start + len)`.
-    pub fn resident_in(&self, file: FileId, start: u64, len: u64) -> u64 {
-        self.resident
-            .keys()
-            .filter(|(f, p)| *f == file && (start..start + len).contains(p))
-            .count() as u64
+    /// Every resident key, in no particular order.
+    pub(crate) fn keys(&self) -> impl Iterator<Item = Key> + '_ {
+        self.resident.keys().copied()
     }
 
     /// Drops every cached page of `file` (per-file cache drop).
     pub fn drop_file(&mut self, file: FileId) {
         self.resident.retain(|(f, _), _| *f != file);
+        self.compact();
     }
 
     /// Drops everything (`echo 3 > /proc/sys/vm/drop_caches`).
@@ -146,7 +154,9 @@ impl PageCache {
     /// `(stamp, key)` onto the back of the recency queue and eviction pops
     /// only from the front, removing only the entry it pops. So the queue
     /// is sorted by stamp and its tail past the watermark holds every page
-    /// that can have become resident since.
+    /// that can have become resident since. Compaction keeps that true:
+    /// it drops only stale entries and keeps each resident page's current
+    /// one, in order.
     pub fn keys_since(&self, stamp: u64) -> impl Iterator<Item = Key> + '_ {
         let from = self.queue.partition_point(|&(s, _)| s < stamp);
         self.queue.range(from..).map(|&(_, key)| key)
@@ -160,6 +170,27 @@ impl PageCache {
     /// Total evictions so far.
     pub fn evictions(&self) -> u64 {
         self.evictions
+    }
+
+    /// Appends a fresh `(stamp, key)` entry, compacting the queue first
+    /// once stale entries outnumber resident pages (by [`QUEUE_SLACK`]).
+    /// A compaction costs one pass over at most `2 × resident + slack`
+    /// entries and leaves `resident`, so at least `resident + slack`
+    /// pushes come between two of them: amortized O(1) per push.
+    fn push(&mut self, entry: (u64, Key)) {
+        if self.queue.len() >= 2 * self.resident.len() + QUEUE_SLACK {
+            self.compact();
+        }
+        self.queue.push_back(entry);
+    }
+
+    /// Drops every stale queue entry, keeping each resident page's
+    /// current one in stamp order. Eviction order is unchanged: it skips
+    /// exactly the entries this drops.
+    fn compact(&mut self) {
+        let resident = &self.resident;
+        self.queue
+            .retain(|(stamp, key)| resident.get(key) == Some(stamp));
     }
 
     fn bump(&mut self) -> u64 {
@@ -271,8 +302,9 @@ mod tests {
     fn eviction_after_drop_file_rebuild() {
         let mut c = PageCache::new(5);
         c.insert_range(f(1), 0, 5);
-        c.drop_file(f(1)); // queue now entirely stale
-        c.insert_range(f(2), 0, 7); // eviction skips the stale entries
+        c.drop_file(f(1)); // compacts the dropped pages' entries away
+        assert!(c.queue.is_empty());
+        c.insert_range(f(2), 0, 7);
         assert_eq!(c.resident_pages(), 5);
         assert!(c.contains(f(2), 6));
         assert!(!c.contains(f(2), 0));
@@ -294,6 +326,48 @@ mod tests {
         let tail: Vec<Key> = c.keys_since(mark).collect();
         for key in c.resident.keys() {
             assert!(tail.contains(key), "{key:?} resident but not in the tail");
+        }
+    }
+
+    #[test]
+    fn queue_stays_bounded_and_lru_exact_under_long_touch_runs() {
+        // A hot set touched over and over (the fork-sibling pattern: no
+        // eviction ever trims the queue), then the same with a cold
+        // stream that forces evictions, checked against a naive LRU
+        // list: compaction must bound the queue and change no victim.
+        let mut c = PageCache::new(40);
+        let mut model: Vec<Key> = Vec::new(); // least recent first
+        let mut x: u64 = 7;
+        for step in 0..20_000u64 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let key = if step >= 10_000 && x >> 62 == 0 {
+                (f(2), step) // cold: a new page every time
+            } else {
+                (f(1), (x >> 33) % 30) // hot
+            };
+            let hit = c.contains(key.0, key.1);
+            if x & 1 == 0 && hit {
+                assert!(c.touch(key.0, key.1));
+            } else {
+                c.insert(key.0, key.1);
+            }
+            model.retain(|k| *k != key);
+            model.push(key);
+            if model.len() > 40 {
+                model.remove(0);
+            }
+            assert!(
+                c.queue.len() <= 2 * c.resident.len() + QUEUE_SLACK,
+                "queue {} for {} resident at step {step}",
+                c.queue.len(),
+                c.resident.len()
+            );
+        }
+        assert_eq!(c.resident_pages(), model.len() as u64);
+        for k in &model {
+            assert!(c.contains(k.0, k.1), "{k:?} evicted out of LRU order");
         }
     }
 

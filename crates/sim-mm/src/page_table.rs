@@ -32,7 +32,13 @@ pub enum PageState {
     Mapped = 2,
 }
 
-/// Dense page-state table for a guest address space.
+/// Page-state table for a guest address space.
+///
+/// Indexed by guest page, but what it costs is its resident part: the
+/// state vector is allocated zeroed (every page starts not-present), so
+/// the host only backs the 4 KiB stretches of it a VM has touched. A
+/// restore that faults in a few thousand pages of a 2 GB guest holds a
+/// few dozen KiB of it, not one byte per guest page.
 #[derive(Clone, Debug)]
 pub struct PageTable {
     states: Vec<u8>,
@@ -126,20 +132,6 @@ impl PageTable {
     pub fn rss_pages(&self) -> u64 {
         self.rss_pages
     }
-
-    /// Number of pages in the `Mapped` state.
-    pub fn mapped_pages(&self) -> u64 {
-        self.states
-            .iter()
-            .filter(|&&s| s == PageState::Mapped as u8)
-            .count() as u64
-    }
-
-    /// Clears every page back to not-present (fresh restore).
-    pub fn clear(&mut self) {
-        self.states.fill(PageState::NotPresent as u8);
-        self.rss_pages = 0;
-    }
 }
 
 /// Out of line, so the fault path's `set_state` stays as small as it is
@@ -192,18 +184,8 @@ mod tests {
         assert_eq!(pt.rss_pages(), 10);
         pt.set_range(PageRange::new(15, 25), PageState::Mapped);
         assert_eq!(pt.rss_pages(), 15);
-        assert_eq!(pt.mapped_pages(), 10);
         assert_eq!(pt.state(12), PageState::HostPte);
         assert_eq!(pt.state(17), PageState::Mapped);
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut pt = PageTable::new(10);
-        pt.set_range(PageRange::new(0, 10), PageState::Mapped);
-        pt.clear();
-        assert_eq!(pt.rss_pages(), 0);
-        assert!(pt.faults_on(0));
     }
 
     #[test]

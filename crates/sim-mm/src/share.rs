@@ -217,18 +217,27 @@ impl SharedPages {
     }
 
     /// Cached pages of the logical file: identity-keyed holes plus the
-    /// resident pages of every mapped chunk's physical extent.
+    /// resident pages of every mapped chunk's physical extent (a chunk
+    /// that several logical chunks dedup onto counts once per logical
+    /// chunk). One pass over the resident pages, whatever the number of
+    /// mapped chunks.
     pub fn resident_of(&self, file: FileId) -> u64 {
-        match self.share.chunked(file) {
-            None => self.cache.resident_of(file),
-            Some(cf) => {
-                let mut n = self.cache.resident_of(file);
-                for (_, ext) in cf.extents() {
-                    n += self.cache.resident_in(ext.file, ext.page, cf.chunk_pages());
-                }
-                n
-            }
-        }
+        let Some(cf) = self.share.chunked(file) else {
+            return self.cache.resident_of(file);
+        };
+        let reach = cf.chunk_pages() - 1;
+        let mut starts: Vec<(FileId, u64)> =
+            cf.extents().map(|(_, ext)| (ext.file, ext.page)).collect();
+        starts.sort_unstable();
+        self.cache
+            .keys()
+            .map(|(f, p)| {
+                // Extents holding (f, p) start in [p - reach, p] of file f.
+                let lo = starts.partition_point(|&s| s < (f, p.saturating_sub(reach)));
+                let hi = starts.partition_point(|&s| s <= (f, p));
+                u64::from(f == file) + (hi - lo) as u64
+            })
+            .sum()
     }
 
     /// Drops the entire cache (between-test hygiene).
@@ -426,6 +435,56 @@ mod tests {
         assert!(pages.contains(f(1), 9), "hole page cached under itself");
         assert!(pages.cache().contains(f(5), 71), "mapped page canonical");
         assert!(!pages.cache().contains(f(1), 7), "no logical alias stored");
+    }
+
+    #[test]
+    fn resident_of_counts_holes_and_every_extent_holding_a_page() {
+        // File 1: 8-page chunks. Chunks 0 and 3 dedup onto one extent,
+        // chunk 1 sits at an unaligned store offset overlapping chunk 0's,
+        // chunk 2 is a hole; file 2 maps one chunk into the same store.
+        let extents = [(0, 64), (1, 68), (3, 64), (4, 8)];
+        let mut cf = ChunkedFile::new(8);
+        for (idx, page) in extents {
+            cf.map_chunk(idx, ChunkExtent { file: f(5), page });
+        }
+        let mut other = ChunkedFile::new(8);
+        other.map_chunk(
+            0,
+            ChunkExtent {
+                file: f(5),
+                page: 72,
+            },
+        );
+        let mut s = ShareMap::new();
+        s.map_file(f(1), cf);
+        s.map_file(f(2), other);
+        let mut pages = SharedPages::new(24);
+        *pages.share_mut() = s;
+        // The per-extent count: holes under their logical key plus each
+        // extent's resident store pages.
+        let oracle = |pages: &SharedPages| {
+            let c = pages.cache();
+            let holes = c.resident_of(f(1));
+            let mapped: u64 = extents
+                .iter()
+                .map(|&(_, start)| {
+                    (start..start + 8).filter(|&p| c.contains(f(5), p)).count() as u64
+                })
+                .sum();
+            holes + mapped
+        };
+        let mut x: u64 = 3;
+        for _ in 0..400 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let file = f(1 + (x >> 63));
+            let page = (x >> 20) % 48;
+            let len = 1 + (x >> 40) % 6;
+            pages.insert_range(file, page, len);
+            assert_eq!(pages.resident_of(f(1)), oracle(&pages));
+        }
+        assert!(pages.resident_of(f(1)) > pages.cache().resident_pages() / 2);
     }
 
     #[test]

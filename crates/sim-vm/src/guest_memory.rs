@@ -125,13 +125,22 @@ impl GuestMemory {
     /// A stable checksum over all contents, for fast equality assertions
     /// in correctness tests.
     pub fn checksum(&self) -> u64 {
-        let mut acc: u64 = 0xcbf29ce484222325;
-        for (&p, &token) in &self.contents {
-            acc ^= p.wrapping_mul(0x100000001b3);
-            acc = acc.rotate_left(17) ^ token;
-        }
-        acc
+        self.contents
+            .iter()
+            .fold(CHECKSUM_SEED, |acc, (&p, &token)| {
+                checksum_step(acc, p, token)
+            })
     }
+}
+
+/// Initial value of the [`GuestMemory::checksum`] fold.
+pub(crate) const CHECKSUM_SEED: u64 = 0xcbf29ce484222325;
+
+/// One step of the [`GuestMemory::checksum`] fold, taken per non-zero
+/// page in ascending page order; shared with views that are not a flat
+/// image.
+pub(crate) fn checksum_step(acc: u64, page: PageNum, token: u64) -> u64 {
+    (acc ^ page.wrapping_mul(0x100000001b3)).rotate_left(17) ^ token
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@ use std::rc::Rc;
 
 use sim_mm::addr::{PageNum, PageRange};
 
-use crate::guest_memory::GuestMemory;
+use crate::guest_memory::{checksum_step, GuestMemory, CHECKSUM_SEED};
 
 /// Copy-on-write view over a shared base image.
 ///
@@ -90,22 +90,38 @@ impl CowMemory {
     }
 
     /// Flattens the overlay onto the base, producing the sibling's
-    /// logical memory image: one ordered merge, private pages winning.
+    /// logical memory image. Only a new snapshot needs this copy; reads
+    /// and [`CowMemory::checksum`] work on the overlay as it is.
     pub fn materialize(&self) -> GuestMemory {
-        let base = self.base.tokens();
-        let mut pages = Vec::with_capacity(base.len() + self.overlay.len());
-        let mut overlay = self.overlay.iter().peekable();
-        for (&p, &token) in base {
-            while let Some((&o, &t)) = overlay.next_if(|&(&o, _)| o < p) {
-                pages.push((o, t));
-            }
-            let token = overlay
-                .next_if(|&(&o, _)| o == p)
-                .map_or(token, |(_, &t)| t);
-            pages.push((p, token));
-        }
-        pages.extend(overlay.map(|(&p, &t)| (p, t)));
+        let mut pages = Vec::with_capacity(self.base.tokens().len() + self.overlay.len());
+        self.for_each_page(|p, token| pages.push((p, token)));
         GuestMemory::from_sorted(self.total_pages(), pages)
+    }
+
+    /// Equals `self.materialize().checksum()`, computed over the merge of
+    /// base and overlay without building the image.
+    pub fn checksum(&self) -> u64 {
+        let mut acc = CHECKSUM_SEED;
+        self.for_each_page(|p, token| {
+            if token != 0 {
+                acc = checksum_step(acc, p, token);
+            }
+        });
+        acc
+    }
+
+    /// Calls `f` on the logical image as one ordered merge of base and
+    /// overlay: `(page, token)` in ascending page order, private pages
+    /// winning (tombstones and zero writes included, as 0).
+    fn for_each_page(&self, mut f: impl FnMut(PageNum, u64)) {
+        let base = self.base.tokens();
+        let mut from = 0;
+        for (&o, &t) in &self.overlay {
+            base.range(from..o).for_each(|(&p, &token)| f(p, token));
+            f(o, t);
+            from = o + 1;
+        }
+        base.range(from..).for_each(|(&p, &token)| f(p, token));
     }
 }
 

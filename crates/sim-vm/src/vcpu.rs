@@ -12,6 +12,8 @@
 //! major fault, a minor fault, or no fault depends on the race between
 //! the two (§4.2).
 
+use std::rc::Rc;
+
 use sim_core::time::SimDuration;
 use sim_mm::addr::{PageNum, PageRange};
 
@@ -45,7 +47,9 @@ pub enum Step {
 /// Interpreter state over one trace.
 #[derive(Clone, Debug)]
 pub struct Vcpu {
-    ops: Vec<TraceOp>,
+    /// The trace, shared with every vCPU running the same one (fork
+    /// siblings interpret one trace each from its own position).
+    trace: Rc<Trace>,
     /// Index of the current op.
     op_idx: usize,
     /// Position within the current op (pages consumed for touches).
@@ -58,9 +62,9 @@ pub struct Vcpu {
 
 impl Vcpu {
     /// Creates a vCPU positioned at the start of `trace`.
-    pub fn new(trace: Trace) -> Self {
+    pub fn new(trace: impl Into<Rc<Trace>>) -> Self {
         Vcpu {
-            ops: trace.ops,
+            trace: trace.into(),
             op_idx: 0,
             intra: 0,
             pending_access: None,
@@ -75,7 +79,7 @@ impl Vcpu {
 
     /// True once the trace is exhausted.
     pub fn is_done(&self) -> bool {
-        self.op_idx >= self.ops.len() && self.pending_access.is_none()
+        self.op_idx >= self.trace.ops.len() && self.pending_access.is_none()
     }
 
     /// Yields the next step. The caller must fully handle each step before
@@ -87,7 +91,7 @@ impl Vcpu {
         }
 
         loop {
-            let Some(op) = self.ops.get(self.op_idx) else {
+            let Some(op) = self.trace.ops.get(self.op_idx) else {
                 return Step::Done;
             };
             match op {

@@ -107,6 +107,10 @@ done
 # Trace scale: ≥10⁶ invocations across 1000 hosts, one sample (its
 # multi-second wall is far above timer noise).
 time_driver cluster_mega 1 "$FD" cluster --mega --policy snapshot-locality --seed "$SEED"
+# Snapshot branching at scale: one 1000-way fork, one sample for the same
+# reason. Per-sibling state and per-event cost that grow with N show here
+# long before they move the x100 driver.
+time_driver fork_fanout_x1000 1 "$FD" invoke json --fork 1000
 
 # Renders $TMP measurements into a schema v2 report at $1. Honors
 # FAASNAP_BENCH_SLOW as a wall-time multiplier (self-test hook).

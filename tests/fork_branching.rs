@@ -65,3 +65,30 @@ fn thousand_way_fork_beats_independent_restores_by_10x() {
         }
     }
 }
+
+#[test]
+fn siblings_hold_only_private_pages_over_the_snapshot_image() {
+    let mut p = recorded("json");
+    let f = faas_workloads::by_name("json").unwrap();
+    let image = p
+        .registry()
+        .artifacts("json", "t")
+        .unwrap()
+        .snapshot
+        .restored_memory();
+    let fork = p
+        .fork("json", "t", &f.input_b(), RestoreStrategy::faasnap(), 16)
+        .unwrap();
+    // No sibling copies the image: each outcome is an overlay over the
+    // snapshot's own frozen base, and the overlays are all it owns.
+    for o in &fork.outcomes {
+        assert!(std::rc::Rc::ptr_eq(o.final_memory.base(), &image));
+    }
+    let private: u64 = fork
+        .outcomes
+        .iter()
+        .map(|o| o.final_memory.private_pages())
+        .sum();
+    assert_eq!(private, fork.private_pages);
+    assert!(fork.private_pages > 0, "json dirties pages over its image");
+}

@@ -1,5 +1,8 @@
 //! Property-based tests over cross-crate invariants.
 
+use std::collections::BTreeSet;
+use std::rc::Rc;
+
 use proptest::prelude::*;
 
 use faasnap::loadingset::LoadingSet;
@@ -7,7 +10,7 @@ use faasnap::mapper;
 use faasnap::wset::WorkingSet;
 use sim_mm::addr::{normalize, PageRange};
 use sim_mm::mincore::{mincore, MincoreScanner};
-use sim_mm::page_cache::PageCache;
+use sim_mm::page_cache::{PageCache, QUEUE_SLACK};
 use sim_mm::page_table::{PageState, PageTable};
 use sim_mm::share::{ShareMap, SharedPages};
 use sim_mm::vma::{AddressSpace, Backing, Resolved};
@@ -351,6 +354,76 @@ proptest! {
     }
 }
 
+proptest! {
+    /// The loading set's binary-searched guest index agrees with a linear
+    /// scan of its regions for pages inside regions, in merged gaps,
+    /// between regions and past the last one, whatever the group order
+    /// that lays the regions out in the file.
+    #[test]
+    fn loading_set_lookup_matches_linear_scan(
+        ws_pages in arb_pages(4000),
+        nonzero in arb_pages(4000),
+        gap in 0u64..64,
+        group_size in 1u64..96
+    ) {
+        let mut ws = WorkingSet::with_group_size(group_size);
+        ws.extend(&ws_pages);
+        let mut mem = GuestMemory::new(4096);
+        for &p in &nonzero {
+            mem.write(p, p + 1);
+        }
+        let ls = LoadingSet::build(&ws, &mem, gap);
+        let linear = |page: u64| {
+            ls.regions()
+                .iter()
+                .find(|r| r.guest.contains(page))
+                .map(|r| r.file_start + (page - r.guest.start))
+        };
+        for page in 0..4200 {
+            let expect = linear(page);
+            prop_assert_eq!(ls.file_page_of(page), expect, "page {}", page);
+            prop_assert_eq!(ls.covers(page), expect.is_some(), "page {}", page);
+        }
+    }
+
+    /// A copy-on-write view reads and checksums as the image it would
+    /// materialize, over random bases and overlays: private writes,
+    /// tombstones over non-zero base pages, zero writes over zero base
+    /// pages, `zero_range`, and forks of forks.
+    #[test]
+    fn cow_checksum_and_reads_match_the_materialized_image(
+        base_pages in arb_pages(160),
+        // Each op: (kind, sibling selector, page, token or length).
+        ops in proptest::collection::vec((0u8..6, 0usize..8, 0u64..160, 0u64..12), 0..120)
+    ) {
+        let mut base = GuestMemory::new(160);
+        for &p in &base_pages {
+            base.write(p, p * 3 + 1);
+        }
+        let base = Rc::new(base);
+        let mut views = vec![CowMemory::new(base.clone())];
+        for (kind, sel, page, arg) in ops {
+            let i = sel % views.len();
+            match kind {
+                0 if views.len() < 6 => {
+                    let child = views[i].fork();
+                    views.push(child);
+                }
+                1 => views[i].zero_range(PageRange::new(page, (page + arg).min(160))),
+                // Token 0: a tombstone or a zero write over a zero page.
+                _ => views[i].write(page, arg % 4),
+            }
+        }
+        for view in &views {
+            let flat = view.materialize();
+            prop_assert_eq!(view.checksum(), flat.checksum());
+            for page in 0..160 {
+                prop_assert_eq!(view.read(page), flat.read(page), "page {}", page);
+            }
+        }
+    }
+}
+
 /// A chunk map over store file 9 with 4-page chunks: `(chunk, store page)`
 /// pairs; unlisted chunks are holes.
 fn chunk_map(chunks: &[(u64, u64)]) -> ChunkedFile {
@@ -370,12 +443,16 @@ fn chunk_map(chunks: &[(u64, u64)]) -> ChunkedFile {
 proptest! {
     /// The page cache's recency queue past a stamp watermark holds every
     /// page that became resident since, through evictions under a tiny
-    /// capacity, re-touches, per-file drops and full drops.
+    /// capacity, re-touches, per-file drops and full drops. Sequences run
+    /// long enough for re-inserts and touches to leave more stale entries
+    /// than resident pages, so the queue compacts many times over: it
+    /// must stay within twice the resident count (plus the slack) while
+    /// every watermark's tail still covers the pages resident since.
     #[test]
     fn page_cache_tail_covers_new_residents(
         capacity in 1u64..12,
         // Each op: (kind, file, page, len).
-        ops in proptest::collection::vec((0u8..8, 1u64..4, 0u64..16, 1u64..6), 1..80)
+        ops in proptest::collection::vec((0u8..16, 1u64..4, 0u64..16, 1u64..6), 1..240)
     ) {
         let universe: Vec<(FileId, u64)> =
             (1..4).flat_map(|f| (0..22).map(move |p| (FileId(f), p))).collect();
@@ -387,19 +464,32 @@ proptest! {
         for (kind, file, page, len) in ops {
             let file = FileId(file);
             match kind {
-                0 | 1 => c.insert(file, page),
-                2 => c.insert_range(file, page, len),
-                3 => {
+                0..=2 => c.insert(file, page),
+                3..=6 => c.insert_range(file, page, len),
+                // A miss, then `len` hits on one resident page: hot pages
+                // leave stale queue entries behind without any eviction.
+                7..=12 => {
                     c.touch(file, page);
+                    let now = resident(&c);
+                    if let Some(&(f, p)) = now.get(page as usize % now.len().max(1)) {
+                        for _ in 0..len {
+                            prop_assert!(c.touch(f, p));
+                        }
+                    }
                 }
-                4 => c.drop_file(file),
-                5 => c.drop_all(),
+                13 => c.drop_file(file),
+                14 => c.drop_all(),
                 _ => marks.push((c.stamp(), resident(&c))),
             }
             prop_assert!(c.resident_pages() <= capacity);
+            let queue = c.keys_since(0).count();
+            prop_assert!(
+                queue <= 2 * c.resident_pages() as usize + QUEUE_SLACK,
+                "queue of {} for {} resident pages", queue, c.resident_pages()
+            );
             let now = resident(&c);
             for (stamp, before) in &marks {
-                let tail: Vec<(FileId, u64)> = c.keys_since(*stamp).collect();
+                let tail: BTreeSet<(FileId, u64)> = c.keys_since(*stamp).collect();
                 for key in now.iter().filter(|k| !before.contains(k)) {
                     prop_assert!(tail.contains(key), "{:?} new since stamp {} but not in the tail", key, stamp);
                 }
